@@ -77,9 +77,8 @@ def main(argv):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("base", type=Path)
     parser.add_argument("change", type=Path)
-    parser.add_argument("--spec", type=Path, default=ROOT / "BENCHMARK.json")
     args = parser.parse_args(argv)
-    spec = json.loads(args.spec.read_text())
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     metrics = {m["name"]: m for m in spec["end_to_end"] + spec["per_layer"]}
     base, change = load(args.base), load(args.change)
 

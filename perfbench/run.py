@@ -20,7 +20,7 @@ The exit code is non-zero when any output fails validation.
 import argparse
 import json
 import os
-import re
+import random
 import select
 import shutil
 import socket
@@ -40,16 +40,11 @@ OUT = ROOT / ".bench_out"
 LAYOUTS = {
     "serve_small": {"workers": 1, "router": False, "journal": False},
     "serve_routed_journal": {"workers": 2, "router": True, "journal": True},
-    "dense_large": {"workers": 1, "router": False, "journal": False},
     "dense_shots": {"workers": 1, "router": False, "journal": False},
 }
 # setup_s is the median of this many launches per run, the measured one
 # included.
 SETUPS = 11
-# A slice of the measured window during which the hypervisor stole more
-# than this share of the host's CPU time measured the host, not the
-# program; run figures are medians over the other slices.
-STEAL_LIMIT = 0.02
 
 
 def log(message):
@@ -81,17 +76,44 @@ def build():
             "router": BUILD / "tools" / "pqs_router"}
 
 
+def free_port(taken):
+    """A port nothing is bound to, below the kernel's ephemeral range: a
+    client that retries connecting to a closed port inside that range can
+    end up connected to itself."""
+    with open("/proc/sys/net/ipv4/ip_local_port_range") as ports:
+        ephemeral = int(ports.read().split()[0])
+    while True:
+        port = random.randrange(ephemeral - 10000, ephemeral)
+        if port in taken:
+            continue
+        with socket.socket() as probe:
+            try:
+                probe.bind(("127.0.0.1", port))
+            except OSError:
+                continue
+        taken.add(port)
+        return port
+
+
 class Fleet:
-    """One launch of a workload's server processes."""
+    """One launch of a workload's server processes, on ports chosen before
+    the launch so the generator can be connecting while they start."""
 
     def __init__(self, bins, layout, run_dir):
         self.bins = bins
         self.layout = layout
         self.run_dir = run_dir
+        if run_dir.exists():
+            shutil.rmtree(run_dir)
+        run_dir.mkdir(parents=True)
         self.procs = []
-        self.worker_ports = []
+        self.taken = set()
+        self.worker_ports = [free_port(self.taken)
+                             for _ in range(layout["workers"])]
         self.journals = []
-        self.endpoint = None
+        port = free_port(self.taken) if layout["router"] else \
+            self.worker_ports[0]
+        self.endpoint = f"127.0.0.1:{port}"
 
     def _spawn(self, argv):
         proc = subprocess.Popen([str(a) for a in argv],
@@ -102,54 +124,53 @@ class Fleet:
         return proc
 
     @staticmethod
-    def _port(proc):
-        """Read the process's stderr until it names its listening port."""
-        fd = proc.stderr.fileno()
-        deadline = time.monotonic() + 30
+    def _wait_listening(proc):
+        """Block until the server says on stderr that it listens."""
         text = b""
-        while time.monotonic() < deadline:
-            ready, _, _ = select.select([fd], [], [], 1.0)
-            if not ready:
-                continue
-            chunk = os.read(fd, 4096)
+        deadline = time.monotonic() + 30
+        while b"listening on" not in text:
+            ready, _, _ = select.select([proc.stderr], [], [],
+                                        max(deadline - time.monotonic(), 0))
+            chunk = proc.stderr.read1(4096) if ready else b""
             if not chunk:
-                break
+                raise RuntimeError("server did not start listening:\n" +
+                                   text.decode(errors="replace"))
             text += chunk
-            match = re.search(rb"listening on [^ ]*:(\d+)", text)
-            if match:
-                return int(match.group(1))
-        raise RuntimeError("server did not start listening:\n" +
-                           text.decode(errors="replace"))
 
     def start(self):
-        """Launch every process; returns the monotonic ns of the launch."""
-        if self.run_dir.exists():
-            shutil.rmtree(self.run_dir)
-        self.run_dir.mkdir(parents=True)
+        """Launch every process; returns the monotonic ns of the launch.
+        A router starts once its workers listen, as a deployment's
+        readiness check would have it; otherwise it may dial them before
+        they listen and wait out its 20 ms connect retry."""
         t0 = time.monotonic_ns()
         workers = []
-        for i in range(self.layout["workers"]):
-            argv = [self.bins["serve"], "--listen", "127.0.0.1:0"]
+        for i, port in enumerate(self.worker_ports):
+            argv = [self.bins["serve"], "--listen", f"127.0.0.1:{port}"]
             if self.layout["journal"]:
                 journal = self.run_dir / f"journal-{i}.jsonl"
                 self.journals.append(journal)
                 argv += ["--journal", journal]
             workers.append(self._spawn(argv))
-        self.worker_ports = [self._port(proc) for proc in workers]
-        port = self.worker_ports[0]
         if self.layout["router"]:
-            port = self.add_router(self.worker_ports)
-        self.endpoint = f"127.0.0.1:{port}"
+            for proc in workers:
+                self._wait_listening(proc)
+            self.add_router(self.worker_ports, int(self.endpoint.split(":")[1]))
         return t0
 
-    def add_router(self, ports):
-        proc = self._spawn([self.bins["router"], "--listen", "127.0.0.1:0",
-                            "--workers",
-                            ",".join(f"127.0.0.1:{p}" for p in ports)])
-        return self._port(proc)
+    def add_router(self, ports, port=None):
+        """A router in front of `ports`; returns the port it listens on."""
+        port = port or free_port(self.taken)
+        self._spawn([self.bins["router"], "--listen", f"127.0.0.1:{port}",
+                     "--workers", ",".join(f"127.0.0.1:{p}" for p in ports)])
+        return port
 
     def pids(self):
         return [proc.pid for proc in self.procs]
+
+    def exits(self):
+        """Exit codes of the servers that are no longer running."""
+        return {proc.pid: proc.returncode for proc in self.procs
+                if proc.poll() is not None}
 
     def stop(self):
         """SIGTERM, then SIGKILL what is still running after a grace period.
@@ -173,6 +194,30 @@ class Fleet:
         self.procs = []
         shutil.rmtree(self.run_dir, ignore_errors=True)
         return killed
+
+
+def start_generator(bins, args, stdout):
+    """Start pqs_bench and wait until it announces that it is connecting,
+    so that its own start-up happens before the servers launch."""
+    proc = subprocess.Popen([str(bins["bench"])] + [str(a) for a in args],
+                            stdin=subprocess.PIPE, stdout=stdout,
+                            stderr=subprocess.PIPE, text=True)
+    line = proc.stderr.readline()
+    if not line.startswith("pqs_bench: connecting"):
+        proc.kill()
+        proc.wait()
+        raise RuntimeError(f"pqs_bench {args[0]} did not start: {line}")
+    return proc
+
+
+def stop_generator(proc):
+    if proc.poll() is None:
+        proc.kill()
+    proc.wait()
+    proc.stdin.close()
+    proc.stderr.close()
+    if proc.stdout:
+        proc.stdout.close()
 
 
 def proc_status(pid, field):
@@ -244,46 +289,11 @@ def delta(after, before, name):
     return counter(after, name) - counter(before, name)
 
 
-def histogram_delta(after, before, name):
-    """Bucket lower bound -> count recorded between the two snapshots."""
-    buckets = {}
-    for snapshot, sign in ((after, 1), (before, -1)):
-        histogram = snapshot.get("histograms", {}).get(name, {})
-        for lower, count in histogram.get("buckets", []):
-            buckets[lower] = buckets.get(lower, 0) + sign * count
-    return {lower: n for lower, n in sorted(buckets.items()) if n}
-
-
-def bucket_percentile(buckets, q):
-    """LogHistogram::percentile over a bucket map: the lower bound of the
-    bucket holding the q-quantile."""
-    total = sum(buckets.values())
-    if total == 0:
-        return 0
-    rank = int(q * total) + 1
-    seen = 0
-    for lower, count in buckets.items():
-        seen += count
-        if seen >= rank:
-            return lower
-    return 0
-
-
-def bucket_sum(buckets):
-    """Sum of the recorded values, each taken at its bucket's midpoint
-    (LogHistogram buckets are exact below 8, then four per octave)."""
-    total = 0.0
-    for lower, count in buckets.items():
-        width = 1 if lower < 8 else 1 << (lower.bit_length() - 3)
-        total += count * (lower + (width - 1) / 2)
-    return total
-
-
 def server_metrics(wire, fleet, lifetimes, workers_total):
     before, after = wire["metrics_before"], wire["metrics_after"]
-    window_ns = wire["window_s"] * 1e9
-    queue = histogram_delta(after, before, "latency.queue_ns")
-    execs = histogram_delta(after, before, "latency.exec_ns")
+    # pqs_bench rebuilds these window histograms with LogHistogram.
+    queue = wire["server_histograms"]["latency.queue_ns"]
+    execs = wire["server_histograms"]["latency.exec_ns"]
     submitted = delta(after, before, "service.submitted")
     plans = (delta(after, before, "plan.cache_hits") +
              delta(after, before, "plan.cache_misses"))
@@ -294,10 +304,11 @@ def server_metrics(wire, fleet, lifetimes, workers_total):
                   counter(m, "journal.completed_appends") for m in lifetimes)
     journal_bytes = sum(path.stat().st_size for path in fleet.journals)
     return {
-        "service.queue_ms_p50": bucket_percentile(queue, 0.50) / 1e6,
-        "service.queue_ms_p99": bucket_percentile(queue, 0.99) / 1e6,
-        "service.exec_ms_p50": bucket_percentile(execs, 0.50) / 1e6,
-        "service.busy_share": bucket_sum(execs) / (window_ns * workers_total),
+        "service.queue_ms_p50": queue["p50_ns"] / 1e6,
+        "service.queue_ms_p99": queue["p99_ns"] / 1e6,
+        "service.exec_ms_p50": execs["p50_ns"] / 1e6,
+        "service.busy_share":
+            execs["sum_ns"] / (wire["window_s"] * 1e9 * workers_total),
         "service.cache_hit_share":
             share(delta(after, before, "service.cache_hits"), submitted),
         "service.coalesced_share":
@@ -330,74 +341,65 @@ def round_trips(bins, fleet):
     return figures
 
 
-def steal_sample():
-    """(monotonic ns, host CPU ticks stolen by the hypervisor, all ticks)."""
-    with open("/proc/stat") as stat:
-        fields = [int(x) for x in stat.readline().split()[1:]]
-    return time.monotonic_ns(), fields[7], sum(fields[:8])
+def setup_probe(bins, args, fleet):
+    """Launch the fleet once with the set-up probe already connecting;
+    returns seconds from the launch to the last connection's first ack."""
+    probe = start_generator(bins, ["probe", "--workload", args.workload,
+                                   "--endpoint", fleet.endpoint],
+                            subprocess.PIPE)
+    try:
+        t0 = fleet.start()
+        out, err = probe.communicate(timeout=60)
+        if probe.returncode != 0:
+            raise RuntimeError(f"pqs_bench probe failed: {err}; "
+                               f"exited servers: {fleet.exits()}")
+        return (json.loads(out.splitlines()[-1])["ready_ns"] - t0) / 1e9
+    finally:
+        stop_generator(probe)
 
 
-def steal_share(samples, start_ns, end_ns):
-    """Share of host CPU time stolen between the samples that bracket
-    [start_ns, end_ns]."""
-    before = max((s for s in samples if s[0] <= start_ns), default=samples[0])
-    after = min((s for s in samples if s[0] >= end_ns), default=samples[-1])
-    return (after[1] - before[1]) / max(after[2] - before[2], 1)
-
-
-def run_wire(bins, args, fleet, t0, sample_threads):
-    """The measured wire run; samples the servers' thread counts when
-    asked."""
+def run_wire(bins, args, fleet, sample_threads):
+    """The measured wire run: launches the fleet with the generator already
+    connecting; samples the servers' thread counts when asked. Returns the
+    generator's exit code, its summary, the set-up seconds and the thread
+    peak."""
     wire_out = fleet.run_dir / "wire.json"
-    argv = [bins["bench"], "wire", "--workload", args.workload,
-            "--seed", args.seed, "--seconds", args.seconds,
-            "--endpoint", fleet.endpoint, "--t0-ns", t0,
-            "--pids", ",".join(str(p) for p in fleet.pids())]
     threads_peak = 0
-    steal = [steal_sample()]
     with open(wire_out, "w") as sink:
-        proc = subprocess.Popen([str(a) for a in argv], stdout=sink)
-        deadline = time.monotonic() + args.seconds + 150
-        while proc.poll() is None:
-            if time.monotonic() > deadline:
-                proc.kill()
-                proc.wait()
-                raise RuntimeError("pqs_bench wire did not finish")
-            if sample_threads:
-                threads_peak = max(threads_peak, sum(
-                    proc_status(pid, "Threads") for pid in fleet.pids()))
-            steal.append(steal_sample())
-            time.sleep(0.02)
-    steal.append(steal_sample())
+        proc = start_generator(
+            bins, ["wire", "--workload", args.workload, "--seed", args.seed,
+                   "--seconds", args.seconds, "--endpoint", fleet.endpoint],
+            sink)
+        try:
+            t0 = fleet.start()
+            proc.stdin.write(",".join(str(p) for p in fleet.pids()) + "\n")
+            proc.stdin.flush()
+            deadline = time.monotonic() + args.seconds + 150
+            while proc.poll() is None:
+                if time.monotonic() > deadline:
+                    raise RuntimeError("pqs_bench wire did not finish")
+                if sample_threads:
+                    threads_peak = max(threads_peak, sum(
+                        proc_status(pid, "Threads") for pid in fleet.pids()))
+                time.sleep(0.02)
+            err = proc.stderr.read()
+        finally:
+            stop_generator(proc)
     lines = wire_out.read_text().strip().splitlines()
     if not lines:
         raise RuntimeError(f"pqs_bench wire printed nothing "
-                           f"(exit {proc.returncode})")
+                           f"(exit {proc.returncode}): {err}; "
+                           f"exited servers: {fleet.exits()}")
     wire = json.loads(lines[-1])
-    for piece in wire.get("slices", []):
-        piece["steal_share"] = steal_share(steal, piece["start_ns"],
-                                           piece["end_ns"])
-    return proc.returncode, wire, threads_peak
-
-
-def quiet_slices(slices):
-    """The slices the host stole at most STEAL_LIMIT from; at least the
-    least-stolen half of them."""
-    quiet = [s for s in slices if s["steal_share"] <= STEAL_LIMIT]
-    if 2 * len(quiet) < len(slices):
-        ranked = sorted(slices, key=lambda s: s["steal_share"])
-        quiet = ranked[:(len(slices) + 1) // 2]
-    return quiet
+    return proc.returncode, wire, (wire["ready_ns"] - t0) / 1e9, threads_peak
 
 
 def end_to_end(wire, rss_kib, setups):
     valid = wire["valid"]
-    quiet = quiet_slices(wire["slices"])
-    wire["quiet_slices"] = len(quiet)
     return {
-        "throughput_rps": statistics.median(s["throughput_rps"] for s in quiet),
-        "latency_p50_ms": statistics.median(s["latency_p50_ms"] for s in quiet),
-        "latency_p99_ms": statistics.median(s["latency_p99_ms"] for s in quiet),
+        "throughput_rps": wire["throughput_rps"],
+        "latency_p50_ms": wire["latency_p50_ms"],
+        "latency_p99_ms": wire["latency_p99_ms"],
         "valid_share": valid / wire["attempted"],
         "cpu_ms_per_result": wire["server_cpu_s"] * 1e3 / valid,
         "peak_rss_mib": rss_kib / 1024,
@@ -417,19 +419,15 @@ def measure(bins, args, spec):
     for _ in range(SETUPS - 1 if args.trace == 0 else 0):
         fleet = Fleet(bins, layout, run_dir)
         try:
-            t0 = fleet.start()
-            _, probe = run_bench(bins, "probe", "--workload", args.workload,
-                                 "--endpoint", fleet.endpoint, "--t0-ns", t0)
-            setups.append(probe["setup_ns"] / 1e9)
+            setups.append(setup_probe(bins, args, fleet))
         finally:
             killed += fleet.stop()
 
     fleet = Fleet(bins, layout, run_dir)
     try:
-        t0 = fleet.start()
-        code, wire, threads_peak = run_wire(bins, args, fleet, t0,
-                                            args.trace == 1)
-        setups.append(wire["setup_ns"] / 1e9)
+        code, wire, setup, threads_peak = run_wire(bins, args, fleet,
+                                                   args.trace == 1)
+        setups.append(setup)
         rss_kib = sum(proc_status(pid, "VmHWM") for pid in fleet.pids())
         lifetimes = [ask(port, "metrics")["metrics"]
                      for port in fleet.worker_ports]

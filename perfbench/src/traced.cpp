@@ -312,9 +312,13 @@ int run_traced(int argc, char** argv) {
         static_cast<double>(spec.shots) / (median(batch_ns) / 1e9);
   }
 
-  // -- partial: the direct module call for the dense_large spec --
+  // -- partial: the direct module call for one N=2^22 dense grk spec. No
+  //    wire workload sends these: a lone job of this size, run by the
+  //    default OpenMP team on every core, slowed by 30-50% whenever the
+  //    hypervisor took 3-8% of the host, too unsteady to bound --
   {
-    const SearchSpec spec = first_grk(workload("dense_large"), seed);
+    const Workload large{"large", Family::kDenseLarge, 1, 1, 0.0, 0, 1};
+    const SearchSpec spec = first_grk(large, seed);
     const Plan plan = Engine().plan(spec);
     std::vector<double> ms;
     for (int r = 0; r < 2; ++r) {

@@ -2,10 +2,14 @@
 // pqs_serve or pqs_router, with every result validated.
 //
 //   probe  connect the workload's connections and take each one's first ack
-//          (the set-up probe; prints the time since --t0-ns)
+//          (the set-up probe; prints the monotonic time of the last ack)
 //   wire   the same set-up, a warm-up, the measured window, validation and
 //          in-process re-runs; prints one JSON summary
 //   rtt    round trip of one op on an idle connection
+//
+// probe and wire start before the servers do: each announces on stderr that
+// it is about to connect, then retries until the endpoint listens, so the
+// set-up time it reports does not include its own start-up.
 //
 // The calling thread drives connection 0 and one helper thread drives each
 // other connection, so the generator runs at most as many threads as
@@ -13,6 +17,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <array>
 #include <deque>
 #include <fstream>
 #include <iostream>
@@ -25,6 +30,7 @@
 #include "api/serialize.h"
 #include "common/check.h"
 #include "common/cli.h"
+#include "common/histogram.h"
 #include "common/timing.h"
 #include "net/socket.h"
 #include "perfbench.h"
@@ -53,14 +59,31 @@ Json round_trip(Conn& conn, const std::string& op) {
   return event;
 }
 
+/// Connect once `endpoint` listens. The 0.1 ms retry interval keeps the
+/// wait from adding more than that to the measured set-up.
+net::Socket connect_when_listening(const net::Addr& endpoint) {
+  const Stopwatch clock;
+  while (true) {
+    try {
+      return net::connect_to(endpoint);
+    } catch (const CheckFailure&) {
+      if (clock.seconds() > 30.0) {
+        throw;
+      }
+      std::this_thread::sleep_for(std::chrono::microseconds(100));
+    }
+  }
+}
+
 /// Open `count` connections and take each one's first ack; returns the
 /// monotonic time at which the last ack arrived.
-std::uint64_t connect_all(const net::Addr& endpoint, std::size_t count,
+std::uint64_t connect_all(const std::string& endpoint, std::size_t count,
                           Conns& conns) {
+  std::cerr << "pqs_bench: connecting to " << endpoint << std::endl;
+  const net::Addr addr = net::parse_hostport(endpoint);
   for (std::size_t c = 0; c < count; ++c) {
     auto conn = std::make_unique<Conn>();
-    conn->socket =
-        net::connect_with_retry(endpoint, std::chrono::milliseconds(10000));
+    conn->socket = connect_when_listening(addr);
     conn->reader = std::make_unique<net::LineReader>(conn->socket);
     PQS_CHECK_MSG(conn->socket.write_all("{\"op\":\"stats\",\"id\":\"b\"}\n"),
                   "server closed the connection during set-up");
@@ -78,7 +101,6 @@ struct Completed {
   Request request;
   Json event;
   std::uint64_t latency_ns = 0;
-  std::uint64_t done_ns = 0;  ///< since the phase began
 };
 
 struct Tally {
@@ -124,10 +146,9 @@ void drive(Conn& conn, const Workload& w, std::uint64_t seed, std::size_t c,
     if (kind == "result") {
       const auto it = inflight.find(event.at("id").as_string());
       PQS_CHECK_MSG(it != inflight.end(), "result for an unknown id: " + line);
-      const std::uint64_t done_ns = clock.nanos();
       tally.completed.push_back({std::move(it->second.request),
                                  std::move(event),
-                                 done_ns - it->second.sent_ns, done_ns});
+                                 clock.nanos() - it->second.sent_ns});
       inflight.erase(it);
       continue;
     }
@@ -186,7 +207,11 @@ double cpu_seconds(const std::vector<std::int64_t>& pids) {
   return total;
 }
 
-std::vector<std::int64_t> parse_pids(const std::string& text) {
+/// Comma-separated pids from one line of stdin: the servers start after the
+/// generator, so their pids cannot be on its command line.
+std::vector<std::int64_t> read_pids() {
+  std::string text;
+  PQS_CHECK_MSG(std::getline(std::cin, text), "no server pids on stdin");
   std::vector<std::int64_t> pids;
   std::istringstream in(text);
   std::string part;
@@ -195,55 +220,91 @@ std::vector<std::int64_t> parse_pids(const std::string& text) {
       pids.push_back(std::stoll(part));
     }
   }
+  PQS_CHECK_MSG(!pids.empty(), "no server pids on stdin");
   return pids;
 }
 
-/// Throughput and latency quantiles of the measured window, per slice. The
-/// window's valid results are cut, in completion order, into up to five
-/// slices of at least three results each; run.py reports the median over
-/// the slices the host did not steal time from, so a stall confined to
-/// one slice does not set the run's figures. Within a slice the quantiles
-/// are exact nearest-rank values of the raw samples; the tail is the p99
-/// when the slice has 1000 samples and otherwise the highest quantile with
-/// ten samples beyond it, never below the median (a lone slow job is not a
-/// percentile). Slice bounds are monotonic ns, the clock of
-/// Python's time.monotonic_ns().
-Json summarize(std::vector<const Completed*> valid,
-               std::uint64_t window_start_ns) {
-  std::sort(valid.begin(), valid.end(),
-            [](const Completed* a, const Completed* b) {
-              return a->done_ns < b->done_ns;
-            });
-  const std::size_t n = valid.size();
-  const std::size_t count = std::clamp<std::size_t>(n / 3, 1, 5);
-  Json slices = Json::make_array();
-  double tail_q = 0.5;
-  for (std::size_t s = 0; s < count; ++s) {
-    const std::size_t lo = s * n / count;
-    const std::size_t hi = (s + 1) * n / count;
-    const std::uint64_t start = lo == 0 ? 0 : valid[lo - 1]->done_ns;
-    const std::uint64_t end = valid[hi - 1]->done_ns;
-    std::vector<double> ms;
-    for (std::size_t i = lo; i < hi; ++i) {
-      ms.push_back(static_cast<double>(valid[i]->latency_ns) / 1e6);
+/// Host CPU ticks from the first line of /proc/stat: stolen by the
+/// hypervisor, and all of them.
+std::array<double, 2> host_ticks() {
+  std::ifstream stat("/proc/stat");
+  std::string cpu;
+  stat >> cpu;
+  std::array<double, 8> fields{};  // user nice system idle ... steal
+  for (double& field : fields) {
+    stat >> field;
+  }
+  double total = 0.0;
+  for (const double field : fields) {
+    total += field;
+  }
+  return {fields[7], total};
+}
+
+/// What histogram `name` recorded between two `metrics` snapshots: its
+/// count, LogHistogram's own p50 and p99 (bucket lower bounds), and the
+/// total with each value taken at its bucket's midpoint.
+Json histogram_window(const Json& before, const Json& after,
+                      const std::string& name) {
+  std::array<std::int64_t, LogHistogram::kBuckets> counts{};
+  const auto add = [&](const Json& snapshot, std::int64_t sign) {
+    const Json& histograms = snapshot.at("histograms");
+    if (!histograms.has(name)) {
+      return;
     }
-    tail_q = std::clamp(1.0 - 10.0 / static_cast<double>(ms.size()), 0.5,
-                        0.99);
-    Json slice = Json::make_object();
-    slice["start_ns"] = window_start_ns + start;
-    slice["end_ns"] = window_start_ns + end;
-    slice["samples"] = std::uint64_t{hi - lo};
-    slice["throughput_rps"] =
-        static_cast<double>(hi - lo) / (static_cast<double>(end - start) / 1e9);
-    slice["latency_p50_ms"] = quantile(ms, 0.5);
-    slice["latency_p99_ms"] = quantile(ms, tail_q);
-    slices.push_back(std::move(slice));
+    for (const Json& entry : histograms.at(name).at("buckets").as_array()) {
+      const std::uint64_t lower = entry.as_array().at(0).as_uint();
+      const std::size_t index = LogHistogram::bucket_index(lower);
+      PQS_CHECK_MSG(LogHistogram::bucket_lower(index) == lower,
+                    name + ": bucket lower is not a bucket boundary");
+      counts[index] +=
+          sign * static_cast<std::int64_t>(entry.as_array().at(1).as_uint());
+    }
+  };
+  add(after, 1);
+  add(before, -1);
+  LogHistogram window;
+  double sum_ns = 0.0;
+  for (std::size_t i = 0; i < counts.size(); ++i) {
+    PQS_CHECK_MSG(counts[i] >= 0, name + " lost counts between snapshots");
+    if (counts[i] == 0) {
+      continue;
+    }
+    const auto n = static_cast<std::uint64_t>(counts[i]);
+    window.add_to_bucket(i, n);
+    const double lower = static_cast<double>(LogHistogram::bucket_lower(i));
+    const double upper =
+        i + 1 < counts.size()
+            ? static_cast<double>(LogHistogram::bucket_lower(i + 1))
+            : lower + 1.0;
+    sum_ns += static_cast<double>(n) * (lower + upper - 1.0) / 2.0;
   }
   Json out = Json::make_object();
-  out["slices"] = std::move(slices);
-  out["latency_tail_q"] = tail_q;
-  out["latency_samples"] = std::uint64_t{n};
+  out["count"] = window.count();
+  out["p50_ns"] = window.percentile(0.50);
+  out["p99_ns"] = window.percentile(0.99);
+  out["sum_ns"] = sum_ns;
   return out;
+}
+
+/// Throughput and exact nearest-rank latency quantiles of the measured
+/// window's valid results. The tail is the p99 when there are 1000 samples
+/// and otherwise the highest quantile with ten samples beyond it, never
+/// below the median: the largest of a few samples is one slow job, not a
+/// percentile.
+void summarize(const std::vector<const Completed*>& valid, double window_s,
+               Json& out) {
+  std::vector<double> ms;
+  for (const Completed* done : valid) {
+    ms.push_back(static_cast<double>(done->latency_ns) / 1e6);
+  }
+  const auto n = static_cast<double>(ms.size());
+  const double tail_q = std::clamp(1.0 - 10.0 / n, 0.5, 0.99);
+  out["throughput_rps"] = n / window_s;
+  out["latency_p50_ms"] = quantile(ms, 0.5);
+  out["latency_p99_ms"] = quantile(ms, tail_q);
+  out["latency_tail_q"] = tail_q;
+  out["latency_samples"] = std::uint64_t{ms.size()};
 }
 
 }  // namespace
@@ -252,15 +313,12 @@ int run_probe(int argc, char** argv) {
   Cli cli(argc, argv);
   const std::string name = cli.get_string("workload", "", "workload name");
   const std::string endpoint = cli.get_string("endpoint", "", "host:port");
-  const auto t0 = static_cast<std::uint64_t>(
-      cli.get_int("t0-ns", 0, "monotonic ns at which the servers launched"));
   cli.finish();
   Conns conns;
   const std::uint64_t ready =
-      connect_all(net::parse_hostport(endpoint), workload(name).connections,
-                  conns);
+      connect_all(endpoint, workload(name).connections, conns);
   Json out = Json::make_object();
-  out["setup_ns"] = ready - t0;
+  out["ready_ns"] = ready;
   std::cout << out.dump() << "\n";
   return 0;
 }
@@ -273,24 +331,21 @@ int run_wire(int argc, char** argv) {
   const double seconds =
       cli.get_double("seconds", 10.0, "length of the measured window");
   const std::string endpoint = cli.get_string("endpoint", "", "host:port");
-  const auto t0 = static_cast<std::uint64_t>(
-      cli.get_int("t0-ns", 0, "monotonic ns at which the servers launched"));
-  const std::vector<std::int64_t> pids = parse_pids(cli.get_string(
-      "pids", "", "comma-separated server pids whose CPU time is measured"));
   cli.finish();
   const Workload& w = workload(name);
 
   Conns conns;
-  const std::uint64_t ready =
-      connect_all(net::parse_hostport(endpoint), w.connections, conns);
+  const std::uint64_t ready = connect_all(endpoint, w.connections, conns);
+  const std::vector<std::int64_t> pids = read_pids();
 
   const std::vector<Tally> warmup = run_phase(conns, w, seed, w.warmup_seconds);
   const Json metrics_before = round_trip(*conns[0], "metrics").at("metrics");
   const double cpu_before = cpu_seconds(pids);
+  const std::array<double, 2> ticks_before = host_ticks();
   const Stopwatch window;
-  const std::uint64_t window_start_ns = monotonic_ns();
   const std::vector<Tally> measured = run_phase(conns, w, seed, seconds);
   const double window_s = window.seconds();
+  const std::array<double, 2> ticks_after = host_ticks();
   const double cpu_after = cpu_seconds(pids);
   const Json metrics_after = round_trip(*conns[0], "metrics").at("metrics");
 
@@ -359,7 +414,7 @@ int run_wire(int argc, char** argv) {
 
   Json out = Json::make_object();
   out["workload"] = std::string(w.name);
-  out["setup_ns"] = ready - t0;
+  out["ready_ns"] = ready;
   out["window_s"] = window_s;
   out["attempted"] = std::uint64_t{total.attempted};
   out["valid"] = std::uint64_t{valid_count};
@@ -369,12 +424,17 @@ int run_wire(int argc, char** argv) {
   out["invalid"] = std::uint64_t{invalid};
   out["reruns"] = std::uint64_t{reruns};
   if (!valid.empty()) {
-    const Json summary = summarize(valid, window_start_ns);
-    for (const auto& [key, value] : summary.as_object()) {
-      out[key] = value;
-    }
+    summarize(valid, window_s, out);
   }
   out["server_cpu_s"] = cpu_after - cpu_before;
+  // Recorded, not used: how much of the host the hypervisor took meanwhile.
+  out["host_steal_share"] = (ticks_after[0] - ticks_before[0]) /
+                            std::max(ticks_after[1] - ticks_before[1], 1.0);
+  Json histograms = Json::make_object();
+  for (const char* name : {"latency.queue_ns", "latency.exec_ns"}) {
+    histograms[name] = histogram_window(metrics_before, metrics_after, name);
+  }
+  out["server_histograms"] = std::move(histograms);
   out["metrics_before"] = metrics_before;
   out["metrics_after"] = metrics_after;
   Json listed = Json::make_array();
@@ -391,23 +451,23 @@ int run_rtt(int argc, char** argv) {
   Cli cli(argc, argv);
   const std::string endpoint = cli.get_string("endpoint", "", "host:port");
   const std::string op = cli.get_string("op", "stats", "stats | metrics");
-  const auto count = static_cast<std::size_t>(
-      cli.get_int("count", 500, "timed round trips"));
   cli.finish();
+  constexpr std::size_t kWarmup = 50;
+  constexpr std::size_t kTimed = 500;
   Conns conns;
-  connect_all(net::parse_hostport(endpoint), 1, conns);
-  for (int i = 0; i < 50; ++i) {
+  connect_all(endpoint, 1, conns);
+  for (std::size_t i = 0; i < kWarmup; ++i) {
     round_trip(*conns[0], op);
   }
   std::vector<double> rtt_us;
-  for (std::size_t i = 0; i < count; ++i) {
+  for (std::size_t i = 0; i < kTimed; ++i) {
     const Stopwatch clock;
     round_trip(*conns[0], op);
     rtt_us.push_back(static_cast<double>(clock.nanos()) / 1e3);
   }
   Json out = Json::make_object();
   out["median_us"] = quantile(rtt_us, 0.5);
-  out["count"] = std::uint64_t{count};
+  out["count"] = std::uint64_t{kTimed};
   std::cout << out.dump() << "\n";
   return 0;
 }

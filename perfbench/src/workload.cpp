@@ -15,10 +15,9 @@ namespace {
 
 // Why each workload exists is recorded in BENCHMARK.json; the shapes here
 // are the ones it names.
-constexpr std::array<Workload, 4> kWorkloads{{
+constexpr std::array<Workload, 3> kWorkloads{{
     {"serve_small", Family::kSmallCached, 4, 4, 1.0, 16, 64},
     {"serve_routed_journal", Family::kSmallUnique, 4, 4, 1.0, 16, 64},
-    {"dense_large", Family::kDenseLarge, 1, 1, 0.5, 2, 1},
     {"dense_shots", Family::kDenseShots, 2, 1, 0.5, 4, 4},
 }};
 
@@ -47,7 +46,7 @@ const Workload& workload(std::string_view name) {
   }
   throw CheckFailure("unknown workload \"" + std::string(name) +
                      "\" (expected serve_small | serve_routed_journal | "
-                     "dense_large | dense_shots)");
+                     "dense_shots)");
 }
 
 Request make_request(const Workload& w, std::uint64_t seed, std::size_t conn,
@@ -83,12 +82,13 @@ Request make_request(const Workload& w, std::uint64_t seed, std::size_t conn,
   spec["n_blocks"] = std::uint64_t{grk ? 4U : 1U};
   std::uint64_t target = mix(seed, request.key, 1) % n_items;
   if (w.family == Family::kDenseShots) {
-    // Dense sampling walks the distribution up to the target, so its cost
-    // depends on the target's block. Every target sits in the last block:
-    // each shot then walks 7/8 of the state, every request does the same
-    // work, and a change to the per-shot cost shows in full.
+    // Dense sampling walks the distribution from the start on every shot,
+    // so a request's cost grows with its target's block. Each connection
+    // rotates its targets through the four blocks: every four requests do
+    // the work of targets spread over the whole state.
     const std::uint64_t block_size = n_items / 4;
-    target = 3 * block_size + target % block_size;
+    const std::uint64_t block = (index + mix(seed, conn, 3)) % 4;
+    target = block * block_size + target % block_size;
   }
   Json marked = Json::make_array();
   marked.push_back(target);
