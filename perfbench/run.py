@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Run one benchmark workload against real pqs_serve / pqs_router processes.
 
-    python3 perfbench/run.py --workload serve_small --seed 1 --seconds 15 --trace 0
+    python3 perfbench/run.py --workload serve_routed_journal --seed 1 --seconds 15 --trace 0
 
 Builds the servers and pqs_bench from the enclosing source tree into
 .bench_build/, launches the workload's server layout with shipped defaults
@@ -38,7 +38,6 @@ OUT = ROOT / ".bench_out"
 # Server layout per workload. The traffic shape (connections, windows,
 # specs) belongs to pqs_bench (perfbench/src/workload.cpp).
 LAYOUTS = {
-    "serve_small": {"workers": 1, "router": False, "journal": False},
     "serve_routed_journal": {"workers": 2, "router": True, "journal": True},
     "dense_shots": {"workers": 1, "router": False, "journal": False},
 }

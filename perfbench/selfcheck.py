@@ -79,7 +79,7 @@ def refuses_without_sources():
     shutil.copytree(HERE, bare / "perfbench",
                     ignore=shutil.ignore_patterns("__pycache__"))
     result = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", "serve_small",
+        [sys.executable, "perfbench/run.py", "--workload", "dense_shots",
          "--seed", "1", "--seconds", "1", "--trace", "0"],
         capture_output=True, text=True, cwd=bare, timeout=180)
     shutil.rmtree(bare)

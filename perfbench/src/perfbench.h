@@ -19,8 +19,7 @@ namespace pqs::bench {
 
 /// The spec family a workload draws its requests from.
 enum class Family {
-  kSmallCached,  ///< grover/grk at N=2^14 over 384 keys (3x the result LRU)
-  kSmallUnique,  ///< the same family, every key unique
+  kSmallUnique,  ///< grover/grk at N=2^14, every key unique
   kDenseLarge,   ///< grk dense K=4 N=2^22, planned schedule (traced only)
   kDenseShots,   ///< grk dense K=4 N=2^16, 20000 shots
 };

@@ -273,7 +273,7 @@ int run_traced(int argc, char** argv) {
   Json metrics = Json::make_object();
 
   // -- qsim.kernels and the host ceiling --
-  const SearchSpec small = first_grk(workload("serve_small"), seed);
+  const SearchSpec small = first_grk(workload("serve_routed_journal"), seed);
   metrics["qsim.kernels.iter_us_n14"] = kernel_iteration_us(log, small);
   metrics["qsim.kernels.gbps_n20"] = diffusion_gbps(log, 20, 20);
   metrics["qsim.kernels.gbps_n25"] = diffusion_gbps(log, 25, 3);

@@ -101,6 +101,7 @@ struct Completed {
   Request request;
   Json event;
   std::uint64_t latency_ns = 0;
+  std::uint64_t done_ns = 0;  ///< arrival, on the phase's clock
 };
 
 struct Tally {
@@ -146,9 +147,10 @@ void drive(Conn& conn, const Workload& w, std::uint64_t seed, std::size_t c,
     if (kind == "result") {
       const auto it = inflight.find(event.at("id").as_string());
       PQS_CHECK_MSG(it != inflight.end(), "result for an unknown id: " + line);
+      const std::uint64_t done_ns = clock.nanos();
       tally.completed.push_back({std::move(it->second.request),
                                  std::move(event),
-                                 clock.nanos() - it->second.sent_ns});
+                                 done_ns - it->second.sent_ns, done_ns});
       inflight.erase(it);
       continue;
     }
@@ -287,24 +289,77 @@ Json histogram_window(const Json& before, const Json& after,
   return out;
 }
 
-/// Throughput and exact nearest-rank latency quantiles of the measured
-/// window's valid results. The tail is the p99 when there are 1000 samples
-/// and otherwise the highest quantile with ten samples beyond it, never
-/// below the median: the largest of a few samples is one slow job, not a
-/// percentile.
-void summarize(const std::vector<const Completed*>& valid, double window_s,
-               Json& out) {
-  std::vector<double> ms;
-  for (const Completed* done : valid) {
-    ms.push_back(static_cast<double>(done->latency_ns) / 1e6);
-  }
+/// Results per block of the summary below.
+constexpr std::size_t kBlock = 1000;
+
+/// Throughput and exact nearest-rank latency quantiles of one block of
+/// `ms.size()` results that arrived over `seconds`. The tail is the p99
+/// when there are 1000 samples and otherwise the highest quantile with ten
+/// samples beyond it, never below the median: the largest of a few samples
+/// is one slow job, not a percentile.
+std::array<double, 3> block_figures(std::vector<double> ms, double seconds) {
   const auto n = static_cast<double>(ms.size());
   const double tail_q = std::clamp(1.0 - 10.0 / n, 0.5, 0.99);
-  out["throughput_rps"] = n / window_s;
-  out["latency_p50_ms"] = quantile(ms, 0.5);
-  out["latency_p99_ms"] = quantile(ms, tail_q);
-  out["latency_tail_q"] = tail_q;
-  out["latency_samples"] = std::uint64_t{ms.size()};
+  return {n / seconds, quantile(ms, 0.5), quantile(ms, tail_q)};
+}
+
+/// Throughput and latency quantiles of the measured window's valid results.
+/// The window's results, in arrival order, are cut into blocks of at least
+/// kBlock consecutive ones (a single block below 2 * kBlock), and each
+/// figure is the median over the blocks of that block's own figure. A burst
+/// of host contention then moves the few blocks it covers, not the run's
+/// figure. The window-wide figures are recorded beside them.
+void summarize(std::vector<const Completed*> valid, double window_s,
+               Json& out) {
+  std::sort(valid.begin(), valid.end(),
+            [](const Completed* a, const Completed* b) {
+              return a->done_ns < b->done_ns;
+            });
+  const auto latency_ms = [&](std::size_t begin, std::size_t end) {
+    std::vector<double> ms;
+    for (std::size_t i = begin; i < end; ++i) {
+      ms.push_back(static_cast<double>(valid[i]->latency_ns) / 1e6);
+    }
+    return ms;
+  };
+  const std::size_t n = valid.size();
+  const std::size_t blocks = std::max<std::size_t>(n / kBlock, 1);
+  std::array<std::vector<double>, 3> per_block;
+  std::uint64_t block_start_ns = 0;
+  for (std::size_t b = 0; b < blocks; ++b) {
+    const std::size_t begin = b * n / blocks;
+    const std::size_t end = (b + 1) * n / blocks;
+    // The last block runs to the window's end, so that a single block is
+    // the whole window.
+    const std::uint64_t block_end_ns =
+        b + 1 == blocks ? static_cast<std::uint64_t>(window_s * 1e9)
+                        : valid[end - 1]->done_ns;
+    const std::array<double, 3> figures = block_figures(
+        latency_ms(begin, end),
+        static_cast<double>(block_end_ns - block_start_ns) / 1e9);
+    for (std::size_t f = 0; f < figures.size(); ++f) {
+      per_block[f].push_back(figures[f]);
+    }
+    block_start_ns = block_end_ns;
+  }
+  const char* names[] = {"block_throughput_rps", "block_latency_p50_ms",
+                         "block_latency_p99_ms"};
+  for (std::size_t f = 0; f < per_block.size(); ++f) {
+    Json listed = Json::make_array();
+    for (const double value : per_block[f]) {
+      listed.push_back(value);
+    }
+    out[names[f]] = std::move(listed);
+  }
+  out["throughput_rps"] = quantile(per_block[0], 0.5);
+  out["latency_p50_ms"] = quantile(per_block[1], 0.5);
+  out["latency_p99_ms"] = quantile(per_block[2], 0.5);
+  out["blocks"] = std::uint64_t{blocks};
+  out["latency_samples"] = std::uint64_t{n};
+  const std::array<double, 3> window = block_figures(latency_ms(0, n), window_s);
+  out["window_throughput_rps"] = window[0];
+  out["window_latency_p50_ms"] = window[1];
+  out["window_latency_p99_ms"] = window[2];
 }
 
 }  // namespace

@@ -15,15 +15,11 @@ namespace {
 
 // Why each workload exists is recorded in BENCHMARK.json; the shapes here
 // are the ones it names.
-constexpr std::array<Workload, 3> kWorkloads{{
-    {"serve_small", Family::kSmallCached, 4, 4, 1.0, 16, 64},
+constexpr std::array<Workload, 2> kWorkloads{{
     {"serve_routed_journal", Family::kSmallUnique, 4, 4, 1.0, 16, 64},
     {"dense_shots", Family::kDenseShots, 2, 1, 0.5, 4, 4},
 }};
 
-/// 3x the shipped 128-entry result cache, so about a third of the
-/// submits hit it.
-constexpr std::uint64_t kCachedKeys = 384;
 constexpr std::uint64_t kSmallItems = std::uint64_t{1} << 14;
 constexpr std::uint64_t kLargeItems = std::uint64_t{1} << 22;
 constexpr std::uint64_t kShotItems = std::uint64_t{1} << 16;
@@ -45,8 +41,7 @@ const Workload& workload(std::string_view name) {
     }
   }
   throw CheckFailure("unknown workload \"" + std::string(name) +
-                     "\" (expected serve_small | serve_routed_journal | "
-                     "dense_shots)");
+                     "\" (expected serve_routed_journal | dense_shots)");
 }
 
 Request make_request(const Workload& w, std::uint64_t seed, std::size_t conn,
@@ -57,10 +52,6 @@ Request make_request(const Workload& w, std::uint64_t seed, std::size_t conn,
   std::uint64_t n_items = kSmallItems;
   bool grk = true;
   switch (w.family) {
-    case Family::kSmallCached:
-      request.key = mix(seed, conn, index) % kCachedKeys;
-      grk = request.key % 2 == 1;
-      break;
     case Family::kSmallUnique:
       request.key = (std::uint64_t{conn} << 40) | index;
       grk = index % 2 == 1;
