@@ -12,7 +12,8 @@
 //               the O(N) -> O(K) gap the pluggable-backend refactor buys,
 //               including symmetry-only rows far beyond dense reach (n=48)
 //   multi_shot  serial (1 thread) vs batched (--batch threads) multi-shot
-//               throughput through Simulator/BatchRunner
+//               throughput: one circuit through apply_circuit, then
+//               BatchRunner::sample_block_shots
 //   facade      pqs::Engine::run(SearchSpec) vs the direct module call
 //               (dispatch + validation overhead of the service API) and the
 //               plan cache: cold vs warm Engine::plan on the same key
@@ -29,10 +30,13 @@
 #include <cmath>
 #include <fstream>
 #include <iostream>
+#include <memory>
+#include <optional>
 #include <sstream>
 #include <vector>
 
 #include "api/api.h"
+#include "common/check.h"
 #include "common/cli.h"
 #include "common/math.h"
 #include "common/table.h"
@@ -43,7 +47,6 @@
 #include "qsim/backend.h"
 #include "qsim/batch.h"
 #include "qsim/isa.h"
-#include "qsim/simulator.h"
 #include "service/service.h"
 
 namespace {
@@ -58,6 +61,14 @@ struct BackendRow {
   double symmetry_seconds = -1.0;
   double speedup = -1.0;
 };
+
+/// A dense backend in |psi0> over 2^n items in 4 blocks (the kernel
+/// baselines' state).
+std::unique_ptr<qsim::Backend> dense_uniform(unsigned n, qsim::Index marked) {
+  return qsim::make_backend(qsim::BackendKind::kDense,
+                            qsim::BackendSpec::single_target(pow2(n), 4,
+                                                             marked));
+}
 
 /// One full GRK evolution (l1 global + l2 local + Step 3) on `kind`.
 double time_grk(unsigned n, unsigned k, std::uint64_t l1, std::uint64_t l2,
@@ -135,16 +146,16 @@ int main(int argc, char** argv) {
     kernel_sizes.push_back(20u);
   }
   for (unsigned n : kernel_sizes) {
-    auto sv = qsim::StateVector::uniform(n);
+    const auto sv = dense_uniform(n, 0);
     const int reps = 20;
     Stopwatch watch;
     for (int r = 0; r < reps; ++r) {
-      sv.reflect_about_uniform();
+      sv->apply_global_diffusion();
     }
     const double diffusion = watch.seconds() / reps;
     watch.reset();
     for (int r = 0; r < reps; ++r) {
-      sv.reflect_blocks_about_uniform(2);
+      sv->apply_block_diffusion();
     }
     const double block = watch.seconds() / reps;
     kernel_table.add_row({Table::num(std::uint64_t{n}), "global diffusion",
@@ -175,19 +186,19 @@ int main(int argc, char** argv) {
     TierRow row;
     row.isa = isa;
     {
-      auto sv = qsim::StateVector::uniform(simd_n);
-      sv.phase_flip(1);  // non-uniform, like the real loop
+      const auto sv = dense_uniform(simd_n, 1);
+      sv->apply_oracle();  // non-uniform, like the real loop
       row.reflect_seconds = best_seconds_per_op(
-          5, 10, [&] { sv.reflect_about_uniform(); });
+          5, 10, [&] { sv->apply_global_diffusion(); });
       row.block_reflect_seconds = best_seconds_per_op(
-          5, 10, [&] { sv.reflect_blocks_about_uniform(2); });
+          5, 10, [&] { sv->apply_block_diffusion(); });
     }
     if (!quick) {
-      auto sv = qsim::StateVector::uniform(simd_grover_n);
+      const auto sv = dense_uniform(simd_grover_n, 12345);
       Stopwatch watch;
       for (int i = 0; i < simd_grover_iters; ++i) {
-        sv.phase_flip(12345);
-        sv.reflect_about_uniform();
+        sv->apply_oracle();
+        sv->apply_global_diffusion();
       }
       row.grover_seconds = watch.seconds();
     }
@@ -311,19 +322,28 @@ int main(int argc, char** argv) {
   }
   circuit.non_target_mean_reflection();
 
-  qsim::Simulator serial_sim(2005), batch_sim(2005);
-  serial_sim.set_backend(shot_backend);
-  batch_sim.set_backend(shot_backend);
-  serial_sim.set_batch({.threads = 1});
-  batch_sim.set_batch({.threads = batch_threads});
+  // Execute once, then sample the block index `shots` times. The circuit's
+  // block ops fix K = 4; the symmetry engine additionally needs the circuit
+  // to be block-symmetric (checked).
+  const auto shot_spec =
+      shot_backend == qsim::BackendKind::kSymmetry
+          ? qsim::symmetric_spec(circuit, db.view())
+          : std::optional<qsim::BackendSpec>(
+                qsim::dense_spec(circuit, db.view()));
+  PQS_CHECK_MSG(shot_spec.has_value(),
+                "multi-shot circuit is not block-symmetric");
+  const auto run_block_shots = [&](unsigned threads) {
+    const auto backend = qsim::make_backend(shot_backend, *shot_spec);
+    const std::uint64_t queries = qsim::apply_circuit(*backend, circuit);
+    return qsim::BatchRunner({.threads = threads, .seed = 2005})
+        .sample_block_shots(*backend, shots, queries);
+  };
 
   Stopwatch watch;
-  const auto serial_report =
-      serial_sim.run_block_shots(circuit, db.view(), 2, shots);
+  const auto serial_report = run_block_shots(1);
   const double serial_seconds = watch.seconds();
   watch.reset();
-  const auto batch_report =
-      batch_sim.run_block_shots(circuit, db.view(), 2, shots);
+  const auto batch_report = run_block_shots(batch_threads);
   const double batch_seconds = watch.seconds();
   const qsim::BatchRunner probe({.threads = batch_threads});
   const double shot_speedup = serial_seconds / std::max(batch_seconds, 1e-12);

@@ -4,34 +4,55 @@
 
 #include "common/check.h"
 #include "common/math.h"
-#include "qsim/kernels.h"
 
 namespace pqs::grover {
 
+namespace {
+
+/// A|0> on a dense backend over db's marked set.
+std::unique_ptr<qsim::Backend> prepare(unsigned n_qubits,
+                                       const Preparation& prep,
+                                       const oracle::MarkedDatabase& db) {
+  PQS_CHECK_MSG(db.size() == pow2(n_qubits), "dimension mismatch");
+  auto state = qsim::make_backend(qsim::BackendKind::kDense,
+                                  qsim::BackendSpec{db.size(), 1, db.marked()});
+  state->reset_basis(0);
+  prep.apply(*state);
+  return state;
+}
+
+}  // namespace
+
 Preparation hadamard_preparation() {
-  const auto apply = [](qsim::StateVector& state) {
-    state.apply_hadamard_all();
+  const auto apply = [](qsim::Backend& state) {
+    const unsigned n = log2_exact(state.num_items());
+    for (unsigned q = 0; q < n; ++q) {
+      state.apply_gate1(q, qsim::gates::H());
+    }
   };
   return Preparation{apply, apply};
 }
 
-void amplification_step(qsim::StateVector& state, const Preparation& prep,
+void amplification_step(qsim::Backend& state, const Preparation& prep,
                         const oracle::MarkedDatabase& db) {
-  PQS_CHECK_MSG(state.dimension() == db.size(), "dimension mismatch");
-  db.apply_phase_oracle(state);             // S_t   (1 query)
-  prep.apply_inverse(state);                // A^{-1}
-  state.phase_flip(0);                      // S0 = I - 2|0><0|
-  prep.apply(state);                        // A
-  state.scale(qsim::Amplitude{-1.0, 0.0});  // overall -1 of Q
+  PQS_CHECK_MSG(state.num_items() == db.size() &&
+                    state.spec().marked == db.marked(),
+                "the backend must hold the database's items and marked set");
+  db.add_queries(1);
+  state.apply_oracle();             // S_t   (1 query)
+  prep.apply_inverse(state);        // A^{-1}
+  state.apply_phase_flip_known(0);  // S0 = I - 2|0><0|
+  prep.apply(state);                // A
+  state.apply_global_phase(qsim::Amplitude{-1.0, 0.0});  // overall -1 of Q
 }
 
-qsim::StateVector amplify(unsigned n_qubits, const Preparation& prep,
-                          const oracle::MarkedDatabase& db,
-                          std::uint64_t iterations) {
-  auto state = qsim::StateVector::zero_state(n_qubits);
-  prep.apply(state);
+std::unique_ptr<qsim::Backend> amplify(unsigned n_qubits,
+                                       const Preparation& prep,
+                                       const oracle::MarkedDatabase& db,
+                                       std::uint64_t iterations) {
+  auto state = prepare(n_qubits, prep, db);
   for (std::uint64_t i = 0; i < iterations; ++i) {
-    amplification_step(state, prep, db);
+    amplification_step(*state, prep, db);
   }
   return state;
 }
@@ -56,13 +77,7 @@ std::unique_ptr<qsim::Backend> amplify_uniform_on_backend(
 
 double initial_success_probability(unsigned n_qubits, const Preparation& prep,
                                    const oracle::MarkedDatabase& db) {
-  auto state = qsim::StateVector::zero_state(n_qubits);
-  prep.apply(state);
-  double a = 0.0;
-  for (const auto m : db.marked()) {
-    a += state.probability(m);
-  }
-  return a;
+  return prepare(n_qubits, prep, db)->marked_probability();
 }
 
 double amplified_success_probability(double initial_probability,

@@ -14,30 +14,34 @@
 
 #include "oracle/marked_set.h"
 #include "qsim/backend.h"
-#include "qsim/state_vector.h"
 
 namespace pqs::grover {
 
-/// A unitary given by its action and its inverse's action on a state vector.
+/// A unitary given by its action and its inverse's action on a dense
+/// backend (gate-level ops).
 struct Preparation {
-  std::function<void(qsim::StateVector&)> apply;
-  std::function<void(qsim::StateVector&)> apply_inverse;
+  std::function<void(qsim::Backend&)> apply;
+  std::function<void(qsim::Backend&)> apply_inverse;
 };
 
 /// The Walsh-Hadamard preparation (self-inverse).
 Preparation hadamard_preparation();
 
-/// Apply one amplification step Q = -A S0 A^{-1} S_t in place. One query.
-void amplification_step(qsim::StateVector& state, const Preparation& prep,
+/// Apply one amplification step Q = -A S0 A^{-1} S_t in place. One query,
+/// metered on db. S_t is the backend's oracle. Checked: the backend must
+/// hold db's items and marked set.
+void amplification_step(qsim::Backend& state, const Preparation& prep,
                         const oracle::MarkedDatabase& db);
 
-/// Prepare A|0> and run `iterations` amplification steps. Gate-level and
-/// therefore dense by definition: `prep` is an arbitrary unitary on the
-/// amplitude array. For the Walsh-Hadamard preparation use
-/// amplify_uniform_on_backend, which dispatches over engines.
-qsim::StateVector amplify(unsigned n_qubits, const Preparation& prep,
-                          const oracle::MarkedDatabase& db,
-                          std::uint64_t iterations);
+/// Prepare A|0> on a dense backend over db's marked set and run
+/// `iterations` amplification steps. Gate-level and therefore dense by
+/// definition: `prep` is an arbitrary unitary on the amplitude array — the
+/// reference the fused amplify_uniform_on_backend is tested against.
+/// Checked: N = 2^n_qubits and a non-empty marked set.
+std::unique_ptr<qsim::Backend> amplify(unsigned n_qubits,
+                                       const Preparation& prep,
+                                       const oracle::MarkedDatabase& db,
+                                       std::uint64_t iterations);
 
 /// Engine-agnostic amplification for A = H^(x)n, where Q = -A S0 A^{-1} S_t
 /// collapses to I0 . S_t exactly (verified against the gate-level form in

@@ -1,5 +1,8 @@
 #include "net/server.h"
 
+#include <pthread.h>
+
+#include <csignal>
 #include <string>
 #include <utility>
 
@@ -142,5 +145,36 @@ NetServer::NetServer(Service& service, NetServerOptions options)
             // open until they have read every result they want).
             session.abort();
           }) {}
+
+namespace {
+
+volatile std::sig_atomic_t g_stop_signal = 0;
+
+sigset_t stop_signal_set() {
+  sigset_t set;
+  sigemptyset(&set);
+  sigaddset(&set, SIGINT);
+  sigaddset(&set, SIGTERM);
+  return set;
+}
+
+}  // namespace
+
+void block_stop_signals() {
+  const sigset_t set = stop_signal_set();
+  PQS_CHECK(::pthread_sigmask(SIG_BLOCK, &set, nullptr) == 0);
+}
+
+void wait_for_stop_signal() {
+  std::signal(SIGINT, [](int) { g_stop_signal = 1; });
+  std::signal(SIGTERM, [](int) { g_stop_signal = 1; });
+  sigset_t mask;
+  PQS_CHECK(::pthread_sigmask(SIG_SETMASK, nullptr, &mask) == 0);
+  sigdelset(&mask, SIGINT);
+  sigdelset(&mask, SIGTERM);
+  while (g_stop_signal == 0) {
+    sigsuspend(&mask);  // a pending stop signal is delivered right here
+  }
+}
 
 }  // namespace pqs::net

@@ -111,4 +111,17 @@ class NetServer {
   Acceptor acceptor_;
 };
 
+/// Stop signals for the long-running network binaries (pqs_serve --listen,
+/// pqs_router). Call block_stop_signals() in main before the first thread
+/// starts: every thread then inherits a mask with SIGINT and SIGTERM
+/// blocked, so the only place either is delivered is
+/// wait_for_stop_signal(), which unblocks them atomically while it sleeps.
+/// Without the mask a worker thread can take the signal and leave the main
+/// thread asleep, and a signal that lands before the handler is installed
+/// kills the process instead of stopping it.
+void block_stop_signals();
+
+/// Sleep until SIGINT or SIGTERM arrives. Requires block_stop_signals().
+void wait_for_stop_signal();
+
 }  // namespace pqs::net

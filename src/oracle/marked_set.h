@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "qsim/circuit.h"
-#include "qsim/state_vector.h"
 
 namespace pqs::oracle {
 
@@ -29,9 +28,6 @@ class MarkedDatabase {
   bool probe(Index x) const;
   /// Uncounted membership test (verification only).
   bool peek(Index x) const;
-
-  /// Phase oracle: flip the sign of every marked state. One query.
-  void apply_phase_oracle(qsim::StateVector& state) const;
 
   qsim::OracleView view() const;
 

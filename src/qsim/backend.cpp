@@ -55,6 +55,9 @@ Backend::Backend(BackendSpec spec) : spec_(std::move(spec)) {
   }
 }
 
+void Backend::reset_basis(Index) {
+  PQS_CHECK_MSG(false, "basis states need the dense backend");
+}
 void Backend::apply_gate1(unsigned, const Gate2&) {
   PQS_CHECK_MSG(false, "single-qubit gates need the dense backend");
 }
@@ -91,9 +94,7 @@ bool symmetry_supports(const BackendSpec& spec) {
 // ---------------------------------------------------------------------------
 
 /// The exact engine: SoA amplitude planes (qsim/soa.h) driven by the
-/// ISA-dispatched SoA kernels. The arithmetic per element matches what the
-/// pre-backend code paths performed through StateVector, so seeded runs
-/// reproduce historical results to the dense≡symmetry agreement bar.
+/// ISA-dispatched SoA kernels — the one dense state of the tree.
 class DenseBackend final : public Backend {
  public:
   explicit DenseBackend(BackendSpec spec) : Backend(std::move(spec)) {
@@ -153,6 +154,11 @@ class DenseBackend final : public Backend {
     });
   }
 
+  void reset_basis(Index x) override {
+    PQS_CHECK_MSG(x < amps_.size(), "basis index out of range");
+    amps_.fill(Amplitude{0.0, 0.0});
+    amps_.set(x, Amplitude{1.0, 0.0});
+  }
   void apply_gate1(unsigned q, const Gate2& g) override {
     kernels::apply_gate1(amps_, qubits(), q, g);
   }
@@ -195,8 +201,8 @@ class DenseBackend final : public Backend {
   }
 
   Index sample(Rng& rng) const override {
-    // The same CDF walk (and the same re^2 + im^2 per-element arithmetic as
-    // std::norm) as StateVector::sample, for seeded reproducibility.
+    // A CDF walk with the re^2 + im^2 per-element arithmetic of std::norm;
+    // seeded reports pin its exact draws.
     const double* re = amps_.re();
     const double* im = amps_.im();
     double u = rng.uniform01() * norm_squared();
@@ -652,38 +658,25 @@ void require_dense(BackendKind kind, std::string_view what) {
 
 namespace {
 
-/// Visitor deciding whether one op preserves the block symmetry, collecting
-/// the block-op granularity on the way.
+/// Visitor deciding whether one op preserves the block symmetry.
 struct SymmetryScan {
   const OracleView& oracle;
-  std::optional<unsigned> block_bits;  ///< k of block ops seen so far
-  bool ok = true;
 
-  void fail() { ok = false; }
-  void note_block_bits(unsigned k) {
-    if (block_bits.has_value() && *block_bits != k) {
-      fail();  // two distinct block granularities break the 3-class split
-    } else {
-      block_bits = k;
-    }
-  }
-
-  void operator()(const Gate1Op&) { fail(); }
-  void operator()(const CGate1Op&) { fail(); }
-  void operator()(const LayerOp&) { fail(); }
-  void operator()(const OracleOp&) {}
-  void operator()(const OraclePhaseOp&) {}
-  void operator()(const GlobalDiffusionOp&) {}
-  void operator()(const BlockDiffusionOp& op) { note_block_bits(op.k); }
-  void operator()(const BlockRotationOp& op) { note_block_bits(op.k); }
-  void operator()(const PhaseFlipKnownOp&) { fail(); }
-  void operator()(const MczOp&) { fail(); }
-  void operator()(const GlobalPhaseOp&) {}
-  void operator()(const NonTargetMeanOp&) {
-    if (oracle.marked_list.size() != 1 ||
-        oracle.marked_list.front() != oracle.target) {
-      fail();  // Step 3 keeps exactly the unique target fixed
-    }
+  bool operator()(const Gate1Op&) const { return false; }
+  bool operator()(const CGate1Op&) const { return false; }
+  bool operator()(const LayerOp&) const { return false; }
+  bool operator()(const OracleOp&) const { return true; }
+  bool operator()(const OraclePhaseOp&) const { return true; }
+  bool operator()(const GlobalDiffusionOp&) const { return true; }
+  bool operator()(const BlockDiffusionOp&) const { return true; }
+  bool operator()(const BlockRotationOp&) const { return true; }
+  bool operator()(const PhaseFlipKnownOp&) const { return false; }
+  bool operator()(const MczOp&) const { return false; }
+  bool operator()(const GlobalPhaseOp&) const { return true; }
+  bool operator()(const NonTargetMeanOp&) const {
+    // Step 3 keeps exactly the unique target fixed.
+    return oracle.marked_list.size() == 1 &&
+           oracle.marked_list.front() == oracle.target;
   }
 };
 
@@ -734,36 +727,56 @@ struct BackendApplyVisitor {
 
 }  // namespace
 
+BackendSpec dense_spec(const Circuit& circuit, const OracleView& oracle) {
+  std::optional<unsigned> block_bits;
+  for (const auto& op : circuit.ops()) {
+    std::optional<unsigned> k;
+    if (const auto* d = std::get_if<BlockDiffusionOp>(&op)) {
+      k = d->k;
+    } else if (const auto* r = std::get_if<BlockRotationOp>(&op)) {
+      k = r->k;
+    }
+    if (k.has_value()) {
+      PQS_CHECK_MSG(!block_bits.has_value() || *block_bits == *k,
+                    "a circuit may use one block granularity only");
+      block_bits = k;
+    }
+  }
+  return BackendSpec{pow2(circuit.num_qubits()),
+                     block_bits.has_value() ? pow2(*block_bits)
+                                            : std::uint64_t{1},
+                     oracle.marked_list};
+}
+
 std::optional<BackendSpec> symmetric_spec(const Circuit& circuit,
                                           const OracleView& oracle) {
   if (oracle.marked_list.empty()) {
     return std::nullopt;
   }
-  SymmetryScan scan{.oracle = oracle};
+  const SymmetryScan scan{oracle};
   for (const auto& op : circuit.ops()) {
-    std::visit(scan, op);
-    if (!scan.ok) {
+    if (!std::visit(scan, op)) {
       return std::nullopt;
     }
   }
-  BackendSpec spec{pow2(circuit.num_qubits()),
-                   scan.block_bits.has_value() ? pow2(*scan.block_bits)
-                                               : std::uint64_t{1},
-                   oracle.marked_list};
+  BackendSpec spec = dense_spec(circuit, oracle);
   if (!symmetry_supports(spec)) {
     return std::nullopt;
   }
   return spec;
 }
 
+std::uint64_t apply_op(Backend& backend, const Op& op) {
+  std::visit(BackendApplyVisitor{backend}, op);
+  return op_query_cost(op);
+}
+
 std::uint64_t apply_circuit(Backend& backend, const Circuit& circuit) {
   PQS_CHECK_MSG(backend.num_items() == pow2(circuit.num_qubits()),
                 "circuit dimension does not match the backend");
-  BackendApplyVisitor visitor{backend};
   std::uint64_t queries = 0;
   for (const auto& op : circuit.ops()) {
-    std::visit(visitor, op);
-    queries += op_query_cost(op);
+    queries += apply_op(backend, op);
   }
   return queries;
 }

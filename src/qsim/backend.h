@@ -33,9 +33,13 @@
 // pre-backend code paths) and the symmetry engine beyond that. Construction
 // goes through make_backend(kind, spec).
 //
-// Thread-safety: backends are single-owner mutable state, like StateVector.
-// The batched execution layer (qsim/batch.h) gives each shot its own backend
-// or samples a const backend with per-shot RNG streams.
+// DenseBackend is the only dense state in the tree: gate-level circuits
+// (apply_circuit), the Zalka hybrid argument (apply_op + amplitudes_copy),
+// noise trajectories and snapshots all run on it.
+//
+// Thread-safety: backends are single-owner mutable state. The batched
+// execution layer (qsim/batch.h) gives each shot its own backend or samples
+// a const backend with per-shot RNG streams.
 #pragma once
 
 #include <cstdint>
@@ -64,8 +68,7 @@ enum class BackendKind {
 BackendKind parse_backend_kind(std::string_view name);
 std::string to_string(BackendKind kind);
 
-/// Largest database a DenseBackend will allocate (matches StateVector's
-/// qubit ceiling).
+/// Largest database a DenseBackend will allocate (2^kMaxQubits items).
 inline constexpr std::uint64_t kMaxDenseItems = std::uint64_t{1} << kMaxQubits;
 
 /// The kAuto dense -> symmetry crossover: databases up to this many items
@@ -152,6 +155,8 @@ class Backend {
   virtual std::uint64_t apply_noise(const NoiseModel& model, Rng& rng);
 
   // -- gate-level ops (dense only; the defaults throw CheckFailure) --
+  /// Basis state |x> (the start state of gate-level preparations).
+  virtual void reset_basis(Index x);
   virtual void apply_gate1(unsigned q, const Gate2& g);
   virtual void apply_controlled_gate1(std::uint64_t control_mask, unsigned q,
                                       const Gate2& g);
@@ -210,13 +215,24 @@ void require_noise_support(BackendKind kind, const BackendSpec& spec,
 
 // -- circuit execution on a backend --
 
-/// The spec a symmetric execution of `circuit` against `oracle` would use,
-/// or nullopt when the pair leaves the 3-class symmetry: the circuit uses a
-/// non-symmetric op (single-qubit gates, MCZ, ...), mixes distinct block
-/// sizes, the oracle's marked set is unknown or empty or spans blocks, or a
-/// Step-3 op appears with more than one marked address.
+/// The spec that executes `circuit` against `oracle` on the dense engine:
+/// N = 2^n, the oracle's marked set, and K taken from the circuit's block
+/// ops (K = 1 when it has none). Checked: one block granularity per
+/// circuit — a circuit whose block ops disagree on k throws CheckFailure.
+/// A caller that measures blocks of a circuit without block ops sets
+/// n_blocks on the result.
+BackendSpec dense_spec(const Circuit& circuit, const OracleView& oracle);
+
+/// dense_spec (with its one-granularity check), or nullopt when the pair
+/// leaves the 3-class symmetry: the circuit uses a non-symmetric op
+/// (single-qubit gates, MCZ, ...), the oracle's marked set is empty or
+/// spans blocks, or a Step-3 op appears with more than one marked address.
 std::optional<BackendSpec> symmetric_spec(const Circuit& circuit,
                                           const OracleView& oracle);
+
+/// Apply one op to `backend`; returns its oracle query cost. Oracle ops act
+/// on the backend spec's marked set.
+std::uint64_t apply_op(Backend& backend, const Op& op);
 
 /// Execute every op of `circuit` on `backend` (which must already be in the
 /// desired start state; circuits assume |psi0>). Returns the oracle queries

@@ -110,32 +110,12 @@ ShotReport BatchRunner::tally(const std::vector<Index>& outcomes,
   return report;
 }
 
-ShotReport BatchRunner::sample_shots(const StateVector& state,
-                                     std::uint64_t shots,
-                                     std::uint64_t queries_per_shot) const {
-  return tally(map_shots(shots,
-                         [&state](std::uint64_t, Rng& rng) {
-                           return state.sample(rng);
-                         }),
-               queries_per_shot);
-}
-
 ShotReport BatchRunner::sample_shots(const Backend& backend,
                                      std::uint64_t shots,
                                      std::uint64_t queries_per_shot) const {
   return tally(map_shots(shots,
                          [&backend](std::uint64_t, Rng& rng) {
                            return backend.sample(rng);
-                         }),
-               queries_per_shot);
-}
-
-ShotReport BatchRunner::sample_block_shots(
-    const StateVector& state, unsigned k, std::uint64_t shots,
-    std::uint64_t queries_per_shot) const {
-  return tally(map_shots(shots,
-                         [&state, k](std::uint64_t, Rng& rng) {
-                           return state.sample_block(k, rng);
                          }),
                queries_per_shot);
 }

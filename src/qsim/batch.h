@@ -8,9 +8,10 @@
 // deterministic RNG stream derived from (seed, shot index), so results are
 // identical for any thread count, including 1.
 //
-// The Simulator front-end routes its run_shots / run_block_shots through
-// this layer; algorithm-level sweeps (benches, examples) use map_shots
-// directly with their own shot body.
+// Circuits run through apply_circuit (qsim/backend.h) and are measured with
+// sample_shots / sample_block_shots; algorithm-level sweeps (noisy
+// trajectories, benches, examples) use map_shots directly with their own
+// shot body.
 #pragma once
 
 #include <cstdint>
@@ -22,7 +23,6 @@
 #include "common/random.h"
 #include "qsim/backend.h"
 #include "qsim/run_control.h"
-#include "qsim/state_vector.h"
 #include "qsim/types.h"
 
 namespace pqs::qsim {
@@ -82,14 +82,9 @@ class BatchRunner {
 
   // -- convenience wrappers --
   /// Repeated full measurement of a fixed state.
-  ShotReport sample_shots(const StateVector& state, std::uint64_t shots,
-                          std::uint64_t queries_per_shot) const;
   ShotReport sample_shots(const Backend& backend, std::uint64_t shots,
                           std::uint64_t queries_per_shot) const;
-  /// Repeated measurement of the first k bits / the block index.
-  ShotReport sample_block_shots(const StateVector& state, unsigned k,
-                                std::uint64_t shots,
-                                std::uint64_t queries_per_shot) const;
+  /// Repeated measurement of the block index.
   ShotReport sample_block_shots(const Backend& backend, std::uint64_t shots,
                                 std::uint64_t queries_per_shot) const;
 

@@ -1,34 +1,30 @@
 // A small circuit IR.
 //
 // Circuits separate *description* from *execution*: algorithms build an op
-// list once; `apply` runs it against a state vector and an oracle, counting
-// oracle queries. Oracle calls are symbolic (OracleOp / NonTargetMeanOp) so
-// the same circuit can be executed against different databases — and, for the
-// Zalka hybrid argument, with some oracle calls replaced by the identity.
+// list once; qsim::apply_circuit (qsim/backend.h) runs it on a backend whose
+// spec carries the marked set, counting oracle queries. Oracle calls are
+// symbolic (OracleOp / NonTargetMeanOp) so the same circuit can be executed
+// against different databases — and, for the Zalka hybrid argument, with
+// some oracle calls replaced by the identity (qsim::apply_op per op).
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <variant>
 #include <vector>
 
 #include "qsim/gates.h"
-#include "qsim/state_vector.h"
+#include "qsim/types.h"
 
 namespace pqs::qsim {
 
-/// Marked-set predicate + target accessor the circuit executor queries.
-/// (The oracle subsystem adapts pqs::oracle::Database to this.)
+/// The marked set a circuit's symbolic oracle ops act on. (The oracle
+/// subsystem adapts pqs::oracle::Database to this.)
 struct OracleView {
-  /// f(x): is x marked?
-  std::function<bool(Index)> marked;
-  /// The unique target (used by ops that need the paper's I_t directly).
+  /// The unique target (the paper's I_t).
   Index target = 0;
-  /// Explicit marked set (sorted, unique), when the oracle layer knows it.
-  /// Non-empty lets the executor flip oracle phases in O(m) instead of
-  /// scanning all N basis states through `marked`; empty means "unknown"
-  /// and falls back to the predicate scan.
+  /// Explicit marked set (sorted, unique); becomes the backend spec's
+  /// marked set, so it must be non-empty to execute a circuit.
   std::vector<Index> marked_list;
 };
 
@@ -138,19 +134,6 @@ class Circuit {
 
   /// Total oracle queries the circuit would consume.
   std::uint64_t query_count() const;
-
-  /// Execute against a state and oracle; returns the number of queries made.
-  std::uint64_t apply(StateVector& state, const OracleView& oracle) const;
-
-  /// Execute only ops [begin, end) — used by the Zalka hybrid argument.
-  std::uint64_t apply_range(StateVector& state, const OracleView& oracle,
-                            std::size_t begin, std::size_t end) const;
-
-  /// Execute with oracle calls >= `identity_from_query` (0-based query index)
-  /// replaced by the identity. The Zalka hybrid |phi^{y,i}> runs the first
-  /// T-i queries as identity: call with identity_until_query = T - i instead.
-  std::uint64_t apply_hybrid(StateVector& state, const OracleView& oracle,
-                             std::uint64_t identity_until_query) const;
 
   /// Multi-line rendering of the op list.
   std::string to_string() const;

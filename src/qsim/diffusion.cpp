@@ -2,50 +2,42 @@
 
 #include "common/check.h"
 #include "common/math.h"
-#include "qsim/kernels.h"
 
 namespace pqs::qsim {
 
-void apply_global_diffusion_gate_level(StateVector& state) {
-  const unsigned n = state.num_qubits();
+namespace {
+
+/// H^(x)m . X^(x)m . MCZ . X^(x)m . H^(x)m . (-1) on the low m qubits.
+void reflect_low_qubits_gate_level(Backend& state, unsigned m) {
   const Gate2 h = gates::H();
   const Gate2 x = gates::X();
-  for (unsigned q = 0; q < n; ++q) {
+  for (unsigned q = 0; q < m; ++q) {
     state.apply_gate1(q, h);
   }
-  for (unsigned q = 0; q < n; ++q) {
+  for (unsigned q = 0; q < m; ++q) {
     state.apply_gate1(q, x);
   }
-  state.phase_flip_mask_all_ones(pow2(n) - 1);
-  for (unsigned q = 0; q < n; ++q) {
+  state.apply_mcz(pow2(m) - 1);
+  for (unsigned q = 0; q < m; ++q) {
     state.apply_gate1(q, x);
   }
-  for (unsigned q = 0; q < n; ++q) {
+  for (unsigned q = 0; q < m; ++q) {
     state.apply_gate1(q, h);
   }
-  state.scale(Amplitude{-1.0, 0.0});
+  state.apply_global_phase(Amplitude{-1.0, 0.0});
 }
 
-void apply_block_diffusion_gate_level(StateVector& state, unsigned k) {
-  const unsigned n = state.num_qubits();
+}  // namespace
+
+void apply_global_diffusion_gate_level(Backend& state) {
+  reflect_low_qubits_gate_level(state, log2_exact(state.num_items()));
+}
+
+void apply_block_diffusion_gate_level(Backend& state, unsigned k) {
+  const unsigned n = log2_exact(state.num_items());
   PQS_CHECK_MSG(k >= 1 && k < n, "block bits out of range");
-  const unsigned low = n - k;  // qubits 0..low-1 are the within-block address
-  const Gate2 h = gates::H();
-  const Gate2 x = gates::X();
-  for (unsigned q = 0; q < low; ++q) {
-    state.apply_gate1(q, h);
-  }
-  for (unsigned q = 0; q < low; ++q) {
-    state.apply_gate1(q, x);
-  }
-  state.phase_flip_mask_all_ones(pow2(low) - 1);
-  for (unsigned q = 0; q < low; ++q) {
-    state.apply_gate1(q, x);
-  }
-  for (unsigned q = 0; q < low; ++q) {
-    state.apply_gate1(q, h);
-  }
-  state.scale(Amplitude{-1.0, 0.0});
+  // Qubits 0..n-k-1 are the within-block address.
+  reflect_low_qubits_gate_level(state, n - k);
 }
 
 std::vector<Amplitude> global_diffusion_matrix(unsigned n_qubits) {
@@ -78,21 +70,18 @@ std::vector<Amplitude> block_diffusion_matrix(unsigned n_qubits, unsigned k) {
   return m;
 }
 
-void apply_dense_matrix(StateVector& state,
-                        const std::vector<Amplitude>& matrix) {
-  const std::size_t dim = state.dimension();
+std::vector<Amplitude> apply_dense_matrix(const std::vector<Amplitude>& matrix,
+                                          const Backend& state) {
+  const std::vector<Amplitude> in = state.amplitudes_copy();
+  const std::size_t dim = in.size();
   PQS_CHECK_MSG(matrix.size() == dim * dim, "matrix size mismatch");
   // This is the reference path the kernel-equivalence tests lean on, and
-  // they apply thousands of test-sized matrices: reuse one scratch buffer
-  // across calls instead of allocating per call, and let the O(dim^2) row
-  // loop fan out over threads (rows are independent).
-  static thread_local std::vector<Amplitude> scratch;
-  scratch.resize(dim);
-  // scratch is thread_local, so inside the parallel region each worker would
-  // see its own (empty) instance; share the caller's buffer via a raw pointer.
-  Amplitude* const out = scratch.data();
-  const std::span<const double> re = state.re();
-  const std::span<const double> im = state.im();
+  // they apply thousands of test-sized matrices: let the O(dim^2) row loop
+  // fan out over threads (rows are independent). The region writes through
+  // raw pointers hoisted out of it, never through thread-local storage.
+  std::vector<Amplitude> out(dim);
+  Amplitude* const out_ptr = out.data();
+  const Amplitude* const in_ptr = in.data();
   const auto rows = static_cast<std::int64_t>(dim);
 #ifdef PQS_HAVE_OPENMP
 #pragma omp parallel for schedule(static)
@@ -101,15 +90,11 @@ void apply_dense_matrix(StateVector& state,
     const Amplitude* row = matrix.data() + static_cast<std::size_t>(r) * dim;
     Amplitude sum{0.0, 0.0};
     for (std::size_t c = 0; c < dim; ++c) {
-      sum += row[c] * Amplitude{re[c], im[c]};
+      sum += row[c] * in_ptr[c];
     }
-    out[static_cast<std::size_t>(r)] = sum;
+    out_ptr[static_cast<std::size_t>(r)] = sum;
   }
-  SoaVector& soa = state.soa();
-  for (std::size_t i = 0; i < dim; ++i) {
-    soa.set(i, scratch[i]);
-  }
-  soa.invalidate_sums();
+  return out;
 }
 
 }  // namespace pqs::qsim

@@ -120,7 +120,7 @@ void scale(std::span<Amplitude> state, Amplitude s);
 // SoA kernels (ISA-dispatched) — the production path.
 //
 // These mirror the span kernels above on SoaVector's separated re/im planes
-// and are what StateVector and DenseBackend actually run. Each O(N) loop
+// and are what DenseBackend actually runs. Each O(N) loop
 // dispatches through the active ISA tier (qsim/isa.h: scalar, AVX2+FMA,
 // AVX-512F) and the reflection/rotation kernels maintain SoaVector's
 // block-sum cache so back-to-back same-partition reflections skip their sum

@@ -146,6 +146,7 @@ Service::Instruments Service::Instruments::bind(obs::MetricsRegistry& r) {
       r.counter("service.done"),
       r.counter("service.cancelled"),
       r.counter("service.failed"),
+      r.counter("journal.marker_write_failures"),
       r.histogram("latency.queue_ns"),
       r.histogram("latency.plan_ns"),
       r.histogram("latency.exec_ns"),
@@ -399,6 +400,7 @@ void Service::reap_cancelled_locked() {
         options_.journal->append_completed(job->journal_id,
                                            JobStatus::kCancelled, nullptr);
       } catch (const std::exception&) {
+        inst_.marker_write_failures.add();
       }
     }
     if (job->trace != nullptr) {
@@ -500,13 +502,15 @@ void Service::finish(const std::shared_ptr<Job>& job, JobStatus status,
     // replayed at the next start. Explicit cancels while the service is
     // live DO land a marker: cancelled work must not resurrect. A marker
     // write failure only degrades exactly-once to at-least-once (the job
-    // replays; reports are deterministic), so it never takes down a worker.
+    // replays; reports are deterministic), so it never takes down a worker;
+    // it is counted as journal.marker_write_failures.
     if (options_.journal && job->journal_id != 0 && !stopping_) {
       try {
         options_.journal->append_completed(
             job->journal_id, status,
             status == JobStatus::kDone ? &report : nullptr);
       } catch (const std::exception&) {
+        inst_.marker_write_failures.add();
       }
     }
   }

@@ -302,6 +302,9 @@ class Service {
     obs::Counter& done;
     obs::Counter& cancelled;
     obs::Counter& failed;
+    /// Completion markers the journal could not write (the job then
+    /// replays on restart: at-least-once instead of exactly-once).
+    obs::Counter& marker_write_failures;
     obs::AtomicHistogram& queue_ns;
     obs::AtomicHistogram& plan_ns;
     obs::AtomicHistogram& exec_ns;

@@ -5,44 +5,38 @@
 
 #include "common/check.h"
 #include "common/math.h"
+#include "qsim/kernels.h"
 
 namespace pqs::zalka {
 
-double state_angle(const qsim::StateVector& a, const qsim::StateVector& b) {
-  return clamped_acos(std::abs(a.inner(b)));
+double state_angle(std::span<const qsim::Amplitude> a,
+                   std::span<const qsim::Amplitude> b) {
+  // The dense engine's SoA inner product (fixed-chunk pairwise sums), so the
+  // angle does not depend on the thread count.
+  return clamped_acos(std::abs(
+      qsim::kernels::inner_product(qsim::SoaVector::from_amplitudes(a),
+                                   qsim::SoaVector::from_amplitudes(b))));
 }
 
-namespace {
-
-/// Run the circuit from |psi0> with the first `identity_until` queries
-/// replaced by the identity; optionally record the state just before each
-/// query (identity or not).
-qsim::StateVector run_with_snapshots(
+std::vector<qsim::Amplitude> run_hybrid(
     const qsim::Circuit& circuit, const qsim::OracleView& oracle,
     std::uint64_t identity_until,
-    std::vector<qsim::StateVector>* before_each_query) {
-  auto state = qsim::uniform_state(circuit.num_qubits());
+    std::vector<std::vector<qsim::Amplitude>>* before_each_query) {
+  const auto state = qsim::make_backend(qsim::BackendKind::kDense,
+                                        qsim::dense_spec(circuit, oracle));
   std::uint64_t queries_seen = 0;
   for (const auto& op : circuit.ops()) {
     const std::uint64_t cost = qsim::op_query_cost(op);
     if (cost > 0 && before_each_query != nullptr) {
-      before_each_query->push_back(state);
+      before_each_query->push_back(state->amplitudes_copy());
     }
-    // Apply one op: reuse the circuit executor by slicing is wasteful, so
-    // replicate its dispatch through a single-op circuit application.
-    qsim::Circuit single(circuit.num_qubits());
-    single.add(op);
-    if (cost > 0 && queries_seen < identity_until) {
-      single.apply_hybrid(state, oracle, /*identity_until_query=*/cost);
-    } else {
-      single.apply(state, oracle);
+    if (cost == 0 || queries_seen >= identity_until) {
+      qsim::apply_op(*state, op);
     }
     queries_seen += cost;
   }
-  return state;
+  return state->amplitudes_copy();
 }
-
-}  // namespace
 
 ZalkaReport analyze_circuit(const qsim::Circuit& circuit,
                             const ZalkaOptions& options) {
@@ -57,12 +51,15 @@ ZalkaReport analyze_circuit(const qsim::Circuit& circuit,
   const auto nd = static_cast<double>(n);
   const std::uint64_t t_queries = report.queries;
 
-  // All-identity run with snapshots before every query: |phi_i>.
-  const qsim::OracleView dummy{[](qsim::Index) { return false; }, 0};
-  std::vector<qsim::StateVector> phi_before;
+  // All-identity run with snapshots before every query: |phi_i>. Every
+  // query is skipped, so the oracle's marked set is immaterial.
+  const auto probability = [](const std::vector<qsim::Amplitude>& state,
+                              qsim::Index y) { return std::norm(state[y]); };
+  std::vector<std::vector<qsim::Amplitude>> phi_before;
   phi_before.reserve(t_queries);
-  const qsim::StateVector phi_final = run_with_snapshots(
-      circuit, dummy, /*identity_until=*/t_queries, &phi_before);
+  const auto phi_final =
+      run_hybrid(circuit, oracle::Database(n, 0).view(),
+                 /*identity_until=*/t_queries, &phi_before);
   PQS_CHECK(phi_before.size() == t_queries);
 
   // Lemma 3 quantities: S_i = sum_y arcsin sqrt(p_{i,y}).
@@ -70,7 +67,7 @@ ZalkaReport analyze_circuit(const qsim::Circuit& circuit,
   for (std::uint64_t i = 0; i < t_queries; ++i) {
     double sum = 0.0;
     for (qsim::Index y = 0; y < n; ++y) {
-      sum += clamped_asin(std::sqrt(phi_before[i].probability(y)));
+      sum += clamped_asin(std::sqrt(probability(phi_before[i], y)));
     }
     report.per_query_sums[i] = sum;
     report.max_per_query_sum = std::max(report.max_per_query_sum, sum);
@@ -82,10 +79,9 @@ ZalkaReport analyze_circuit(const qsim::Circuit& circuit,
   for (qsim::Index y = 0; y < n; ++y) {
     const oracle::Database db(n, y);
     const auto view = db.view();
-    const qsim::StateVector phi_y =
-        run_with_snapshots(circuit, view, /*identity_until=*/0, nullptr);
+    const auto phi_y = run_hybrid(circuit, view, /*identity_until=*/0);
     report.sum_final_angles += state_angle(phi_final, phi_y);
-    report.min_success = std::min(report.min_success, phi_y.probability(y));
+    report.min_success = std::min(report.min_success, probability(phi_y, y));
   }
   report.eps = 1.0 - report.min_success;
   report.lemma1_floor =
@@ -104,23 +100,21 @@ ZalkaReport analyze_circuit(const qsim::Circuit& circuit,
     const qsim::Index y = s * stride;
     const oracle::Database db(n, y);
     const auto view = db.view();
-    qsim::StateVector prev =
-        run_with_snapshots(circuit, view, /*identity_until=*/t_queries,
-                           nullptr);  // i = 0: all identity
+    // i = 0: all identity.
+    auto prev = run_hybrid(circuit, view, /*identity_until=*/t_queries);
     for (std::uint64_t i = 1; i <= t_queries; ++i) {
-      const qsim::StateVector cur = run_with_snapshots(
-          circuit, view, /*identity_until=*/t_queries - i, nullptr);
+      auto cur = run_hybrid(circuit, view, /*identity_until=*/t_queries - i);
       const double lhs = state_angle(prev, cur);
       const double rhs =
           2.0 * clamped_asin(
-                    std::sqrt(phi_before[t_queries - i].probability(y)));
+                    std::sqrt(probability(phi_before[t_queries - i], y)));
       const double slack = lhs - rhs;
       report.lemma2_worst_slack =
           std::max(report.lemma2_worst_slack, slack);
       if (slack > 1e-9) {
         report.lemma2_holds = false;
       }
-      prev = cur;
+      prev = std::move(cur);
     }
   }
   return report;

@@ -1,8 +1,9 @@
 // Numerical machinery for Theorem 3 (Appendix B): the small-error refinement
 // of Zalka's optimality bound for quantum search.
 //
-// For a T-query algorithm given as a qsim::Circuit we compute, on the
-// simulator, every quantity in the appendix:
+// For a T-query algorithm given as a qsim::Circuit we compute, on the dense
+// backend (op by op through qsim::apply_op, snapshots via amplitudes_copy),
+// every quantity in the appendix:
 //
 //   |phi_t>      states of the all-identity-oracle run,
 //   |phi^y_t>    states of the O_y run,
@@ -16,6 +17,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "oracle/database.h"
@@ -24,8 +26,20 @@
 
 namespace pqs::zalka {
 
-/// arccos |<a|b>| in [0, pi/2]; the angle metric of the appendix.
-double state_angle(const qsim::StateVector& a, const qsim::StateVector& b);
+/// arccos |<a|b>| in [0, pi/2]; the angle metric of the appendix. Checked:
+/// equal dimensions.
+double state_angle(std::span<const qsim::Amplitude> a,
+                   std::span<const qsim::Amplitude> b);
+
+/// Run `circuit` from |psi0> on a dense backend over `oracle`'s marked set
+/// with its first `identity_until` queries replaced by the identity — the
+/// hybrid |phi^{y,T-identity_until}_T> — and return the final amplitudes.
+/// When `before_each_query` is non-null it receives the state just before
+/// each query, identity or not.
+std::vector<qsim::Amplitude> run_hybrid(
+    const qsim::Circuit& circuit, const qsim::OracleView& oracle,
+    std::uint64_t identity_until,
+    std::vector<std::vector<qsim::Amplitude>>* before_each_query = nullptr);
 
 /// All Appendix-B quantities for one algorithm (circuit) on n qubits.
 struct ZalkaReport {

@@ -4,7 +4,9 @@
 
 #include <cmath>
 
+#include "common/check.h"
 #include "common/math.h"
+#include "dense_test_util.h"
 #include "grover/grover.h"
 #include "oracle/database.h"
 
@@ -19,8 +21,9 @@ TEST(AmplitudeAmplification, HadamardPreparationReducesToGrover) {
   const oracle::Database single = oracle::Database::with_qubits(n, 23);
 
   const auto amplified = amplify(n, hadamard_preparation(), multi, 5);
-  const auto grover_state = evolve(single, 5);
-  EXPECT_LT(amplified.linf_distance(grover_state), 1e-12);
+  const auto grover_state =
+      evolve_on_backend(single, 5, qsim::BackendKind::kDense);
+  EXPECT_LT(test::linf(*amplified, *grover_state), 1e-12);
 }
 
 TEST(AmplitudeAmplification, ClosedFormMatchesSimulation) {
@@ -32,24 +35,22 @@ TEST(AmplitudeAmplification, ClosedFormMatchesSimulation) {
 
   for (std::uint64_t j = 0; j <= 8; ++j) {
     const auto state = amplify(n, prep, db, j);
-    double p = 0.0;
-    for (const auto m : db.marked()) {
-      p += state.probability(m);
-    }
-    ASSERT_NEAR(p, amplified_success_probability(a, j), 1e-10) << "j=" << j;
+    ASSERT_NEAR(state->marked_probability(),
+                amplified_success_probability(a, j), 1e-10)
+        << "j=" << j;
   }
 }
 
 TEST(AmplitudeAmplification, WorksWithNonHadamardPreparation) {
   // A = layer of Ry rotations: a biased but valid preparation.
   const unsigned n = 5;
-  const auto apply = [](qsim::StateVector& state) {
-    for (unsigned q = 0; q < state.num_qubits(); ++q) {
+  const auto apply = [](qsim::Backend& state) {
+    for (unsigned q = 0; q < log2_exact(state.num_items()); ++q) {
       state.apply_gate1(q, qsim::gates::Ry(0.9));
     }
   };
-  const auto unapply = [](qsim::StateVector& state) {
-    for (unsigned q = 0; q < state.num_qubits(); ++q) {
+  const auto unapply = [](qsim::Backend& state) {
+    for (unsigned q = 0; q < log2_exact(state.num_items()); ++q) {
       state.apply_gate1(q, qsim::gates::Ry(-0.9));
     }
   };
@@ -60,7 +61,7 @@ TEST(AmplitudeAmplification, WorksWithNonHadamardPreparation) {
   ASSERT_GT(a, 0.0);
   for (std::uint64_t j = 1; j <= 4; ++j) {
     const auto state = amplify(n, prep, db, j);
-    ASSERT_NEAR(state.probability(7), amplified_success_probability(a, j),
+    ASSERT_NEAR(state->probability(7), amplified_success_probability(a, j),
                 1e-10)
         << "j=" << j;
   }
@@ -69,12 +70,13 @@ TEST(AmplitudeAmplification, WorksWithNonHadamardPreparation) {
 TEST(AmplitudeAmplification, StepPreservesNorm) {
   const unsigned n = 6;
   const oracle::MarkedDatabase db(pow2(n), {10, 20});
-  auto state = qsim::StateVector::uniform(n);
+  const auto state = qsim::make_backend(
+      qsim::BackendKind::kDense, qsim::BackendSpec{pow2(n), 1, db.marked()});
   const auto prep = hadamard_preparation();
   for (int i = 0; i < 10; ++i) {
-    amplification_step(state, prep, db);
+    amplification_step(*state, prep, db);
   }
-  EXPECT_NEAR(state.norm_squared(), 1.0, 1e-11);
+  EXPECT_NEAR(state->norm_squared(), 1.0, 1e-11);
 }
 
 TEST(AmplitudeAmplification, QueryMeterAdvancesOncePerStep) {
@@ -82,6 +84,17 @@ TEST(AmplitudeAmplification, QueryMeterAdvancesOncePerStep) {
   const oracle::MarkedDatabase db(pow2(n), {3});
   amplify(n, hadamard_preparation(), db, 7);
   EXPECT_EQ(db.queries(), 7u);
+}
+
+TEST(AmplitudeAmplification, StepChecksTheBackendMatchesTheDatabase) {
+  const oracle::MarkedDatabase db(16, {3});
+  const auto other = qsim::make_backend(
+      qsim::BackendKind::kDense, qsim::BackendSpec::single_target(16, 1, 4));
+  EXPECT_THROW(amplification_step(*other, hadamard_preparation(), db),
+               CheckFailure);
+  // a = 0 cannot be amplified: the gate-level reference refuses it too.
+  const oracle::MarkedDatabase empty(16, {});
+  EXPECT_THROW(amplify(4, hadamard_preparation(), empty, 1), CheckFailure);
 }
 
 TEST(AmplitudeAmplification, ClosedFormValidatesProbability) {

@@ -14,6 +14,7 @@
 #include "common/check.h"
 #include "common/math.h"
 #include "common/timing.h"
+#include "dense_test_util.h"
 #include "grover/grover.h"
 #include "oracle/database.h"
 #include "partial/analytic.h"
@@ -25,14 +26,7 @@
 namespace pqs::qsim {
 namespace {
 
-double linf(const std::vector<Amplitude>& a, const std::vector<Amplitude>& b) {
-  EXPECT_EQ(a.size(), b.size());
-  double d = 0.0;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    d = std::max(d, std::abs(a[i] - b[i]));
-  }
-  return d;
-}
+using test::linf;
 
 void expect_backends_agree(const Backend& dense, const Backend& symmetry,
                            double tol = 1e-10) {
@@ -331,10 +325,10 @@ TEST(BackendCircuitTest, SymmetricCircuitExecutionMatchesDense) {
   const std::uint64_t queries = apply_circuit(*backend, circuit);
   EXPECT_EQ(queries, circuit.query_count());
 
-  auto state = StateVector::uniform(n);
-  circuit.apply(state, view);
+  auto dense = make_backend(BackendKind::kDense, dense_spec(circuit, view));
+  EXPECT_EQ(apply_circuit(*dense, circuit), circuit.query_count());
   for (Index b = 0; b < pow2(k); ++b) {
-    EXPECT_NEAR(state.block_probability(k, b), backend->block_probability(b),
+    EXPECT_NEAR(dense->block_probability(b), backend->block_probability(b),
                 1e-10);
   }
 }
@@ -345,6 +339,20 @@ TEST(BackendCircuitTest, GateLevelCircuitsAreNotSymmetric) {
   circuit.oracle();
   circuit.global_diffusion_gate_level();  // H/X layers + MCZ: dense only
   EXPECT_FALSE(symmetric_spec(circuit, db.view()).has_value());
+  // Forcing the pair onto the symmetry engine fails loudly at the first
+  // gate-level op instead of running a wrong evolution.
+  auto symmetry = make_backend(BackendKind::kSymmetry,
+                               dense_spec(circuit, db.view()));
+  EXPECT_THROW(apply_circuit(*symmetry, circuit), CheckFailure);
+}
+
+TEST(BackendCircuitTest, RequireDenseRejectsSymmetry) {
+  // Paths that materialize full amplitude vectors refuse the symmetry
+  // engine by name; kAuto and kDense pass.
+  EXPECT_THROW(require_dense(BackendKind::kSymmetry, "snapshots"),
+               CheckFailure);
+  EXPECT_NO_THROW(require_dense(BackendKind::kAuto, "snapshots"));
+  EXPECT_NO_THROW(require_dense(BackendKind::kDense, "snapshots"));
 }
 
 TEST(BackendDispatchTest, InterleavedScheduleRunsOnBothEngines) {

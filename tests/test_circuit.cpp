@@ -4,10 +4,15 @@
 
 #include "common/check.h"
 #include "common/math.h"
+#include "dense_test_util.h"
 #include "oracle/database.h"
+#include "qsim/backend.h"
 
 namespace pqs::qsim {
 namespace {
+
+using test::dense_backend;
+using test::linf;
 
 TEST(Circuit, QueryCountCountsOracleOpsOnly) {
   Circuit c(4);
@@ -30,16 +35,16 @@ TEST(Circuit, ApplyMatchesManualEvolution) {
   for (int i = 0; i < 4; ++i) {
     c.grover_iteration();
   }
-  auto circuit_state = StateVector::uniform(5);
-  const auto queries = c.apply(circuit_state, db.view());
-  EXPECT_EQ(queries, 4u);
+  auto circuit_state =
+      make_backend(BackendKind::kDense, dense_spec(c, db.view()));
+  EXPECT_EQ(apply_circuit(*circuit_state, c), 4u);
 
-  auto manual = StateVector::uniform(5);
+  auto manual = dense_backend(5, 1, 11);
   for (int i = 0; i < 4; ++i) {
-    manual.phase_flip(11);
-    manual.reflect_about_uniform();
+    manual->apply_oracle();
+    manual->apply_global_diffusion();
   }
-  EXPECT_LT(circuit_state.linf_distance(manual), 1e-12);
+  EXPECT_LT(linf(*circuit_state, *manual), 1e-12);
 }
 
 TEST(Circuit, MakeGroverCircuitMatchesBuilder) {
@@ -56,13 +61,28 @@ TEST(Circuit, PartialIterationUsesBlockDiffusion) {
   const oracle::Database db = oracle::Database::with_qubits(6, 33);
   Circuit c(6);
   c.partial_iteration(2);
-  auto state = StateVector::uniform(6);
-  c.apply(state, db.view());
+  const auto spec = dense_spec(c, db.view());
+  EXPECT_EQ(spec.n_blocks, 4u);  // K from the circuit's block op
+  auto state = make_backend(BackendKind::kDense, spec);
+  apply_circuit(*state, c);
 
-  auto manual = StateVector::uniform(6);
-  manual.phase_flip(33);
-  manual.reflect_blocks_about_uniform(2);
-  EXPECT_LT(state.linf_distance(manual), 1e-12);
+  auto manual = dense_backend(6, 4, 33);
+  manual->apply_oracle();
+  manual->apply_block_diffusion();
+  EXPECT_LT(linf(*state, *manual), 1e-12);
+}
+
+TEST(Circuit, DenseSpecAllowsOneBlockGranularity) {
+  const oracle::Database db = oracle::Database::with_qubits(6, 33);
+  Circuit plain(6);
+  plain.grover_iteration();
+  EXPECT_EQ(dense_spec(plain, db.view()).n_blocks, 1u);
+  EXPECT_EQ(dense_spec(plain, db.view()).marked, std::vector<Index>{33});
+
+  Circuit mixed(6);
+  mixed.partial_iteration(2).block_rotation(3, 0.5);
+  EXPECT_THROW(dense_spec(mixed, db.view()), CheckFailure);
+  EXPECT_THROW(symmetric_spec(mixed, db.view()), CheckFailure);
 }
 
 TEST(Circuit, GateLevelDiffusionEqualsFusedKernel) {
@@ -72,98 +92,71 @@ TEST(Circuit, GateLevelDiffusionEqualsFusedKernel) {
   Circuit prep(5);
   prep.hadamard_all().gate1(1, gates::T()).gate1(3, gates::Ry(0.6));
 
-  auto a = StateVector::zero_state(5);
-  prep.apply(a, db.view());
-  auto b = a;
-
   Circuit fused(5);
   fused.global_diffusion();
-  fused.apply(a, db.view());
-
   Circuit gates_only(5);
   gates_only.global_diffusion_gate_level();
-  gates_only.apply(b, db.view());
 
-  EXPECT_LT(a.linf_distance(b), 1e-12);
+  auto a = dense_backend(5, 1, 7);
+  auto b = dense_backend(5, 1, 7);
+  for (auto* state : {a.get(), b.get()}) {
+    state->reset_basis(0);
+    apply_circuit(*state, prep);
+  }
+  apply_circuit(*a, fused);
+  apply_circuit(*b, gates_only);
+
+  EXPECT_LT(linf(*a, *b), 1e-12);
   EXPECT_EQ(gates_only.query_count(), 0u);
 }
 
-TEST(Circuit, HybridIdentityUntilSkipsEarlyQueries) {
-  const oracle::Database db = oracle::Database::with_qubits(4, 9);
-  Circuit c(4);
-  for (int i = 0; i < 5; ++i) {
-    c.grover_iteration();
-  }
-  // All five queries replaced by identity: the diffusion fixes |psi0>, so
-  // the state must remain uniform.
-  auto state = StateVector::uniform(4);
-  const auto real_queries = c.apply_hybrid(state, db.view(), 5);
-  EXPECT_EQ(real_queries, 0u);
-  EXPECT_LT(state.linf_distance(StateVector::uniform(4)), 1e-12);
-}
-
-TEST(Circuit, HybridSuffixMatchesShorterRealRun) {
-  // First 2 of 5 queries identity == running only the last 3 iterations
-  // (diffusion on uniform is the identity).
-  const oracle::Database db = oracle::Database::with_qubits(4, 9);
-  Circuit five(4);
-  for (int i = 0; i < 5; ++i) {
-    five.grover_iteration();
-  }
-  auto hybrid = StateVector::uniform(4);
-  const auto real_queries = five.apply_hybrid(hybrid, db.view(), 2);
-  EXPECT_EQ(real_queries, 3u);
-
-  Circuit three(4);
-  for (int i = 0; i < 3; ++i) {
-    three.grover_iteration();
-  }
-  auto direct = StateVector::uniform(4);
-  three.apply(direct, db.view());
-  EXPECT_LT(hybrid.linf_distance(direct), 1e-12);
-}
-
-TEST(Circuit, ApplyRangeSplitsExecution) {
+TEST(Circuit, SplitExecutionMatchesWholeCircuit) {
+  // Running a circuit's ops in two halves, op by op, equals one pass.
   const oracle::Database db = oracle::Database::with_qubits(4, 3);
   Circuit c(4);
   for (int i = 0; i < 4; ++i) {
     c.grover_iteration();
   }
-  auto split = StateVector::uniform(4);
-  c.apply_range(split, db.view(), 0, 4);             // first 2 iterations
-  c.apply_range(split, db.view(), 4, c.size());      // the rest
-  auto whole = StateVector::uniform(4);
-  c.apply(whole, db.view());
-  EXPECT_LT(split.linf_distance(whole), 1e-12);
+  const auto spec = dense_spec(c, db.view());
+  auto split = make_backend(BackendKind::kDense, spec);
+  std::uint64_t queries = 0;
+  for (std::size_t i = 0; i < 4; ++i) {  // first 2 iterations
+    queries += apply_op(*split, c.ops()[i]);
+  }
+  EXPECT_EQ(queries, 2u);
+  for (std::size_t i = 4; i < c.size(); ++i) {  // the rest
+    queries += apply_op(*split, c.ops()[i]);
+  }
+  EXPECT_EQ(queries, c.query_count());
+  auto whole = make_backend(BackendKind::kDense, spec);
+  apply_circuit(*whole, c);
+  EXPECT_LT(linf(*split, *whole), 1e-12);
 }
 
-TEST(Circuit, ApplyRangeRejectsBadBounds) {
+TEST(Circuit, MismatchesWithTheBackendAreRejected) {
   const oracle::Database db = oracle::Database::with_qubits(3, 0);
   Circuit c(3);
   c.grover_iteration();
-  auto state = StateVector::uniform(3);
-  EXPECT_THROW(c.apply_range(state, db.view(), 3, 2), CheckFailure);
-  EXPECT_THROW(c.apply_range(state, db.view(), 0, 99), CheckFailure);
-}
+  auto wrong = dense_backend(4);
+  EXPECT_THROW(apply_circuit(*wrong, c), CheckFailure);  // qubit count
 
-TEST(Circuit, QubitCountMismatchRejected) {
-  const oracle::Database db = oracle::Database::with_qubits(3, 0);
-  Circuit c(3);
-  c.grover_iteration();
-  auto wrong = StateVector::uniform(4);
-  EXPECT_THROW(c.apply(wrong, db.view()), CheckFailure);
+  Circuit blocks(3);
+  blocks.partial_iteration(1);
+  auto quarters = dense_backend(3, 4);
+  EXPECT_THROW(apply_circuit(*quarters, blocks), CheckFailure);  // K
 }
 
 TEST(Circuit, NonTargetMeanOpUsesOracleTarget) {
   const oracle::Database db = oracle::Database::with_qubits(3, 5);
   Circuit c(3);
   c.non_target_mean_reflection();
-  auto state = StateVector::uniform(3);
-  state.phase_flip(5);
-  auto manual = state;
-  c.apply(state, db.view());
-  manual.reflect_non_target_about_their_mean(5);
-  EXPECT_LT(state.linf_distance(manual), 1e-12);
+  auto state = make_backend(BackendKind::kDense, dense_spec(c, db.view()));
+  state->apply_oracle();
+  auto manual = dense_backend(3, 1, 5);
+  manual->apply_oracle();
+  apply_circuit(*state, c);
+  manual->apply_step3();
+  EXPECT_LT(linf(*state, *manual), 1e-12);
 }
 
 TEST(Circuit, ToStringListsOps) {

@@ -7,19 +7,33 @@
 #include "common/check.h"
 #include "common/math.h"
 #include "common/random.h"
-#include "qsim/kernels.h"
+#include "dense_test_util.h"
 
 namespace pqs::qsim {
 namespace {
 
-StateVector random_state(unsigned n_qubits, Rng& rng) {
-  std::vector<Amplitude> amps(pow2(n_qubits));
-  for (auto& a : amps) {
-    a = Amplitude{rng.normal(), rng.normal()};
+using test::linf;
+
+Gate2 random_gate(Rng& rng) {
+  return gates::U(rng.uniform(0.0, kPi), rng.uniform(0.0, 2.0 * kPi),
+                  rng.uniform(0.0, 2.0 * kPi));
+}
+
+/// A generic entangled state on a dense backend with 2^k_bits blocks:
+/// random single-qubit layers around a ladder of random controlled gates.
+std::unique_ptr<Backend> random_state(unsigned n_qubits, unsigned k_bits,
+                                      Rng& rng) {
+  auto state = test::dense_backend(n_qubits, pow2(k_bits));
+  for (unsigned q = 0; q < n_qubits; ++q) {
+    state->apply_gate1(q, random_gate(rng));
   }
-  auto sv = StateVector::from_amplitudes(std::move(amps));
-  sv.normalize();
-  return sv;
+  for (unsigned q = 1; q < n_qubits; ++q) {
+    state->apply_controlled_gate1(pow2(q - 1), q, random_gate(rng));
+  }
+  for (unsigned q = 0; q < n_qubits; ++q) {
+    state->apply_gate1(q, random_gate(rng));
+  }
+  return state;
 }
 
 class GlobalDiffusionEquivalence : public ::testing::TestWithParam<unsigned> {};
@@ -27,12 +41,13 @@ class GlobalDiffusionEquivalence : public ::testing::TestWithParam<unsigned> {};
 TEST_P(GlobalDiffusionEquivalence, GateLevelEqualsKernel) {
   const unsigned n = GetParam();
   Rng rng(1000 + n);
-  auto kernel_state = random_state(n, rng);
-  auto gate_state = kernel_state;
+  auto kernel_state = random_state(n, 0, rng);
+  Rng replay(1000 + n);
+  auto gate_state = random_state(n, 0, replay);
 
-  kernel_state.reflect_about_uniform();
-  apply_global_diffusion_gate_level(gate_state);
-  EXPECT_LT(kernel_state.linf_distance(gate_state), 1e-12) << "n=" << n;
+  kernel_state->apply_global_diffusion();
+  apply_global_diffusion_gate_level(*gate_state);
+  EXPECT_LT(linf(*kernel_state, *gate_state), 1e-12) << "n=" << n;
 }
 
 TEST_P(GlobalDiffusionEquivalence, DenseMatrixAgrees) {
@@ -41,12 +56,13 @@ TEST_P(GlobalDiffusionEquivalence, DenseMatrixAgrees) {
     GTEST_SKIP() << "dense matrix too large";
   }
   Rng rng(2000 + n);
-  auto kernel_state = random_state(n, rng);
-  auto dense_state = kernel_state;
+  auto kernel_state = random_state(n, 0, rng);
+  const auto dense_state =
+      apply_dense_matrix(global_diffusion_matrix(n), *kernel_state);
 
-  kernel_state.reflect_about_uniform();
-  apply_dense_matrix(dense_state, global_diffusion_matrix(n));
-  EXPECT_LT(kernel_state.linf_distance(dense_state), 1e-11) << "n=" << n;
+  kernel_state->apply_global_diffusion();
+  EXPECT_LT(linf(kernel_state->amplitudes_copy(), dense_state), 1e-11)
+      << "n=" << n;
 }
 
 INSTANTIATE_TEST_SUITE_P(Sizes, GlobalDiffusionEquivalence,
@@ -59,12 +75,13 @@ class BlockDiffusionEquivalence
 TEST_P(BlockDiffusionEquivalence, GateLevelEqualsKernel) {
   const auto [n, k] = GetParam();
   Rng rng(3000 + 16 * n + k);
-  auto kernel_state = random_state(n, rng);
-  auto gate_state = kernel_state;
+  auto kernel_state = random_state(n, k, rng);
+  Rng replay(3000 + 16 * n + k);
+  auto gate_state = random_state(n, k, replay);
 
-  kernel_state.reflect_blocks_about_uniform(k);
-  apply_block_diffusion_gate_level(gate_state, k);
-  EXPECT_LT(kernel_state.linf_distance(gate_state), 1e-12)
+  kernel_state->apply_block_diffusion();
+  apply_block_diffusion_gate_level(*gate_state, k);
+  EXPECT_LT(linf(*kernel_state, *gate_state), 1e-12)
       << "n=" << n << " k=" << k;
 }
 
@@ -74,12 +91,12 @@ TEST_P(BlockDiffusionEquivalence, DenseMatrixAgrees) {
     GTEST_SKIP() << "dense matrix too large";
   }
   Rng rng(4000 + 16 * n + k);
-  auto kernel_state = random_state(n, rng);
-  auto dense_state = kernel_state;
+  auto kernel_state = random_state(n, k, rng);
+  const auto dense_state =
+      apply_dense_matrix(block_diffusion_matrix(n, k), *kernel_state);
 
-  kernel_state.reflect_blocks_about_uniform(k);
-  apply_dense_matrix(dense_state, block_diffusion_matrix(n, k));
-  EXPECT_LT(kernel_state.linf_distance(dense_state), 1e-11)
+  kernel_state->apply_block_diffusion();
+  EXPECT_LT(linf(kernel_state->amplitudes_copy(), dense_state), 1e-11)
       << "n=" << n << " k=" << k;
 }
 
@@ -120,9 +137,21 @@ TEST(DiffusionMatrix, RejectsOversizedRequests) {
 }
 
 TEST(Diffusion, GateLevelBlockRejectsBadK) {
-  auto sv = StateVector::uniform(4);
-  EXPECT_THROW(apply_block_diffusion_gate_level(sv, 0), CheckFailure);
-  EXPECT_THROW(apply_block_diffusion_gate_level(sv, 4), CheckFailure);
+  auto state = test::dense_backend(4);
+  EXPECT_THROW(apply_block_diffusion_gate_level(*state, 0), CheckFailure);
+  EXPECT_THROW(apply_block_diffusion_gate_level(*state, 4), CheckFailure);
+}
+
+TEST(Diffusion, GateLevelNeedsTheDenseEngine) {
+  auto symmetry = make_backend(BackendKind::kSymmetry,
+                               BackendSpec::single_target(16, 1, 3));
+  EXPECT_THROW(apply_global_diffusion_gate_level(*symmetry), CheckFailure);
+}
+
+TEST(Diffusion, DenseMatrixRejectsMismatchedSizes) {
+  const auto state = test::dense_backend(3);
+  EXPECT_THROW(apply_dense_matrix(global_diffusion_matrix(2), *state),
+               CheckFailure);
 }
 
 }  // namespace

@@ -8,7 +8,6 @@
 #include "common/math.h"
 #include "common/random.h"
 #include "qsim/kernels.h"
-#include "qsim/state_vector.h"
 
 namespace pqs::qsim {
 namespace {

@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <fcntl.h>
+#include <sys/resource.h>
 #include <sys/types.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -25,6 +26,7 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <set>
 #include <sstream>
 #include <string>
@@ -681,33 +683,89 @@ TEST(SessionJournalTest, TcpDisconnectAbortMarksJobsSoTheyNeverReplay) {
   EXPECT_TRUE(recovered.pending.empty());
 }
 
-// ---- the headline: SIGKILL the real binary ---------------------------------
+// ---- the real binaries: SIGKILL, SIGTERM, a full disk ---------------------
 
 constexpr const char kServeBinary[] = PQS_TOOLS_DIR "/pqs_serve";
+constexpr const char kRouterBinary[] = PQS_TOOLS_DIR "/pqs_router";
 
-pid_t spawn_serve(const std::string& wal, int* in_fd, int* out_fd) {
+struct SpawnOptions {
+  bool pipe_stderr = false;  ///< else the child inherits the test's stderr
+  /// RLIMIT_FSIZE for the child, with SIGXFSZ ignored so an over-limit
+  /// write fails with EFBIG instead of killing the process.
+  std::optional<rlim_t> file_size_limit;
+};
+
+struct Child {
+  pid_t pid = -1;
+  int in_fd = -1;   ///< the child's stdin
+  int out_fd = -1;  ///< the child's stdout
+  int err_fd = -1;  ///< the child's stderr, when piped
+};
+
+Child spawn(const std::vector<std::string>& command,
+            const SpawnOptions& options = {}) {
+  std::vector<char*> argv;
+  for (const std::string& arg : command) {
+    argv.push_back(const_cast<char*>(arg.c_str()));
+  }
+  argv.push_back(nullptr);
   int in_pipe[2];
   int out_pipe[2];
+  int err_pipe[2] = {-1, -1};
   PQS_CHECK(::pipe(in_pipe) == 0);
   PQS_CHECK(::pipe(out_pipe) == 0);
+  PQS_CHECK(!options.pipe_stderr || ::pipe(err_pipe) == 0);
   const pid_t pid = ::fork();
   PQS_CHECK(pid >= 0);
   if (pid == 0) {
     ::dup2(in_pipe[0], STDIN_FILENO);
     ::dup2(out_pipe[1], STDOUT_FILENO);
-    ::close(in_pipe[0]);
-    ::close(in_pipe[1]);
-    ::close(out_pipe[0]);
-    ::close(out_pipe[1]);
-    ::execl(kServeBinary, "pqs_serve", "--journal", wal.c_str(), "--threads",
-            "2", static_cast<char*>(nullptr));
+    if (options.pipe_stderr) {
+      ::dup2(err_pipe[1], STDERR_FILENO);
+    }
+    for (const int fd : {in_pipe[0], in_pipe[1], out_pipe[0], out_pipe[1],
+                         err_pipe[0], err_pipe[1]}) {
+      if (fd >= 0) {
+        ::close(fd);
+      }
+    }
+    if (options.file_size_limit.has_value()) {
+      const rlimit limit{*options.file_size_limit, *options.file_size_limit};
+      ::setrlimit(RLIMIT_FSIZE, &limit);
+      ::signal(SIGXFSZ, SIG_IGN);
+    }
+    ::execv(argv[0], argv.data());
     ::_exit(127);  // exec failed; the parent sees it in the exit status
   }
   ::close(in_pipe[0]);
   ::close(out_pipe[1]);
-  *in_fd = in_pipe[1];
-  *out_fd = out_pipe[0];
-  return pid;
+  if (options.pipe_stderr) {
+    ::close(err_pipe[1]);
+  }
+  return Child{pid, in_pipe[1], out_pipe[0], err_pipe[0]};
+}
+
+pid_t spawn_serve(const std::string& wal, int* in_fd, int* out_fd) {
+  const Child child =
+      spawn({kServeBinary, "--journal", wal, "--threads", "2"});
+  *in_fd = child.in_fd;
+  *out_fd = child.out_fd;
+  return child.pid;
+}
+
+/// waitpid with a deadline. On timeout the child is SIGKILLed and reaped
+/// and the call returns false.
+bool wait_exit(pid_t pid, std::chrono::milliseconds limit, int* status) {
+  Stopwatch watch;
+  while (watch.millis() < static_cast<double>(limit.count())) {
+    if (::waitpid(pid, status, WNOHANG) == pid) {
+      return true;
+    }
+    std::this_thread::sleep_for(2ms);
+  }
+  ::kill(pid, SIGKILL);
+  ::waitpid(pid, status, 0);
+  return false;
 }
 
 bool read_line_fd(int fd, std::string& carry, std::string& line) {
@@ -834,6 +892,106 @@ TEST(CrashRecoveryTest, SigkilledServerReplaysUnfinishedJobsExactlyOnce) {
     EXPECT_TRUE(marker.has_report);
   }
   EXPECT_FALSE(std::filesystem::exists(Journal::recovering_path(wal)));
+}
+
+TEST(StopSignalTest, ListeningBinariesExitCleanlyOnSigterm) {
+  // SIGTERM right after the `listening` line, repeatedly: the stop signal
+  // must reach the main thread's wait whichever thread the kernel picks,
+  // and a signal that lands before the wait must not be lost or kill the
+  // process.
+  const std::vector<std::vector<std::string>> commands = {
+      {kServeBinary, "--listen", "127.0.0.1:0", "--threads", "2"},
+      {kRouterBinary, "--listen", "127.0.0.1:0", "--workers", "127.0.0.1:1"},
+  };
+  for (const auto& command : commands) {
+    for (int round = 0; round < 20; ++round) {
+      const Child child = spawn(command, {.pipe_stderr = true});
+      ::close(child.in_fd);
+      std::string carry;
+      std::string line;
+      bool listening = false;
+      while (!listening && read_line_fd(child.err_fd, carry, line)) {
+        listening = line.find("listening") != std::string::npos;
+      }
+      ASSERT_TRUE(listening) << command[0];
+      ASSERT_EQ(::kill(child.pid, SIGTERM), 0);
+      int status = 0;
+      const bool exited = wait_exit(child.pid, 2000ms, &status);
+      ::close(child.out_fd);
+      ::close(child.err_fd);
+      ASSERT_TRUE(exited) << command[0] << " ignored SIGTERM in round "
+                          << round;
+      ASSERT_TRUE(WIFEXITED(status))
+          << command[0] << " was killed by SIGTERM in round " << round;
+      ASSERT_EQ(WEXITSTATUS(status), 0) << command[0];
+    }
+  }
+}
+
+TEST(CrashRecoveryTest, MarkerWriteFailuresAreCountedInMetrics) {
+  TempDir dir;
+  // Size the accepted record with an unlimited run of the same job.
+  const std::string probe_wal = dir.path + "/probe.wal";
+  {
+    const Child child =
+        spawn({kServeBinary, "--journal", probe_wal, "--threads", "1"});
+    write_all_fd(child.in_fd, submit_line("grover", "probe", 1) + "\n");
+    ::close(child.in_fd);
+    std::string carry;
+    std::string line;
+    while (read_line_fd(child.out_fd, carry, line)) {
+    }
+    ::close(child.out_fd);
+    int status = 0;
+    ASSERT_EQ(::waitpid(child.pid, &status, 0), child.pid);
+    ASSERT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0);
+  }
+  std::ifstream probe(probe_wal);
+  std::string accepted_record;
+  ASSERT_TRUE(std::getline(probe, accepted_record));
+  ASSERT_NE(accepted_record.find("\"accepted\""), std::string::npos);
+
+  // The journal file may hold the accepted record (plus slack for the
+  // varying t_ns digits) and nothing more: the completion marker's write
+  // fails with EFBIG.
+  const Child child =
+      spawn({kServeBinary, "--journal", dir.wal(), "--threads", "1"},
+            {.file_size_limit = accepted_record.size() + 64});
+  write_all_fd(child.in_fd, submit_line("grover", "job", 1) + "\n");
+  std::string carry;
+  std::string line;
+  bool done = false;
+  while (!done && read_line_fd(child.out_fd, carry, line)) {
+    const Json event = Json::parse(line);
+    done = event.at("event").as_string() == "result" &&
+           event.at("status").as_string() == "done";
+  }
+  ASSERT_TRUE(done) << "the job itself must still succeed";
+  // The marker is written before the result is published, so the counter
+  // is final by now.
+  write_all_fd(child.in_fd, R"({"op":"metrics","id":"m"})" "\n");
+  Json metrics;
+  while (read_line_fd(child.out_fd, carry, line)) {
+    Json event = Json::parse(line);
+    if (event.at("event").as_string() == "metrics") {
+      metrics = std::move(event);
+      break;
+    }
+  }
+  ::close(child.in_fd);
+  while (read_line_fd(child.out_fd, carry, line)) {
+  }
+  ::close(child.out_fd);
+  int status = 0;
+  ASSERT_EQ(::waitpid(child.pid, &status, 0), child.pid);
+  EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0);
+
+  const Json& counters = metrics.at("metrics").at("counters");
+  EXPECT_EQ(counters.at("journal.marker_write_failures").as_uint(), 1u);
+  EXPECT_EQ(counters.at("journal.accepted_appends").as_uint(), 1u);
+  EXPECT_EQ(counters.at("journal.completed_appends").as_uint(), 0u);
+  // At-least-once: with no marker on disk the job stays pending.
+  EXPECT_EQ(Journal::recover_file(dir.wal()).pending.size(), 1u);
 }
 
 }  // namespace

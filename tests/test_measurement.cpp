@@ -1,79 +1,70 @@
-#include "qsim/measurement.h"
+// Tests for measuring a dense state without collapse: a basis state samples
+// deterministically, shot tallies sum to the shot count, the empirical
+// block distribution converges to the exact one, and zero shots are
+// rejected.
+#include "qsim/backend.h"
 
 #include <gtest/gtest.h>
 
-#include <cmath>
+#include <cstdint>
 
 #include "common/check.h"
+#include "common/random.h"
+#include "dense_test_util.h"
+#include "qsim/batch.h"
 
 namespace pqs::qsim {
 namespace {
 
-TEST(Measurement, MeasureAllCollapsesToOutcome) {
-  auto sv = StateVector::uniform(4);
-  Rng rng(1);
-  const Index outcome = measure_all(sv, rng);
-  EXPECT_NEAR(sv.probability(outcome), 1.0, 1e-12);
-  EXPECT_NEAR(sv.norm_squared(), 1.0, 1e-12);
-}
+using test::dense_backend;
 
-TEST(Measurement, MeasureAllOnBasisStateIsDeterministic) {
+TEST(DenseBackendTest, SamplingABasisStateIsDeterministic) {
   Rng rng(2);
+  auto state = dense_backend(3);
   for (Index x : {0u, 3u, 7u}) {
-    auto sv = StateVector::basis(3, x);
-    EXPECT_EQ(measure_all(sv, rng), x);
+    state->reset_basis(x);
+    EXPECT_EQ(state->sample(rng), x);
   }
 }
 
-TEST(Measurement, MeasureBlockCollapsesBlock) {
-  auto sv = StateVector::uniform(5);
-  Rng rng(3);
-  const Index block = measure_block(sv, 2, rng);
-  EXPECT_LT(block, 4u);
-  EXPECT_NEAR(sv.block_probability(2, block), 1.0, 1e-12);
-  // Within the block the state stays uniform.
-  const std::size_t block_size = sv.dimension() >> 2;
-  for (std::size_t i = 0; i < block_size; ++i) {
-    EXPECT_NEAR(sv.probability(block * block_size + i), 1.0 / 8.0, 1e-12);
-  }
-}
-
-TEST(Measurement, MeasureBlockValidatesK) {
-  auto sv = StateVector::uniform(3);
-  Rng rng(4);
-  EXPECT_THROW(measure_block(sv, 0, rng), CheckFailure);
-  EXPECT_THROW(measure_block(sv, 4, rng), CheckFailure);
-}
-
-TEST(Measurement, SampleCountsSumToShots) {
-  const auto sv = StateVector::uniform(3);
-  Rng rng(5);
-  const auto counts = sample_counts(sv, 1000, rng);
+TEST(BatchRunnerTest, SampleCountsSumToShots) {
+  const auto state = make_backend(BackendKind::kDense,
+                                  BackendSpec::single_target(8, 1, 0));
+  const auto report =
+      BatchRunner({.threads = 2, .seed = 5}).sample_shots(*state, 1000, 0);
   std::uint64_t total = 0;
-  for (const auto& [outcome, count] : counts) {
+  for (const auto& [outcome, count] : report.counts) {
     EXPECT_LT(outcome, 8u);
     total += count;
   }
   EXPECT_EQ(total, 1000u);
+  EXPECT_EQ(report.shots, 1000u);
 }
 
-TEST(Measurement, EmpiricalBlockDistributionMatchesExact) {
-  auto sv = StateVector::uniform(4);
-  sv.phase_flip(13);
-  sv.reflect_about_uniform();
-  Rng rng(6);
-  const auto empirical = empirical_block_distribution(sv, 2, 50000, rng);
-  const auto exact = sv.block_distribution(2);
-  ASSERT_EQ(empirical.size(), exact.size());
+TEST(BatchRunnerTest, BlockShotsMatchTheBlockDistribution) {
+  auto state = make_backend(BackendKind::kDense,
+                            BackendSpec::single_target(16, 4, 13));
+  state->apply_oracle();
+  state->apply_global_diffusion();
+  const auto report = BatchRunner({.threads = 2, .seed = 6})
+                          .sample_block_shots(*state, 50000, 1);
+  const auto exact = state->block_distribution();
   for (std::size_t b = 0; b < exact.size(); ++b) {
-    EXPECT_NEAR(empirical[b], exact[b], 0.02) << "block " << b;
+    const auto it = report.counts.find(b);
+    const double empirical =
+        it == report.counts.end()
+            ? 0.0
+            : static_cast<double>(it->second) / 50000.0;
+    EXPECT_NEAR(empirical, exact[b], 0.02) << "block " << b;
   }
 }
 
-TEST(Measurement, EmpiricalDistributionNeedsShots) {
-  const auto sv = StateVector::uniform(2);
-  Rng rng(7);
-  EXPECT_THROW(empirical_block_distribution(sv, 1, 0, rng), CheckFailure);
+TEST(BatchRunnerTest, RejectsZeroShots) {
+  const auto state = make_backend(BackendKind::kDense,
+                                  BackendSpec::single_target(8, 2, 1));
+  const BatchRunner runner({.threads = 1, .seed = 11});
+  EXPECT_THROW(runner.sample_shots(*state, 0, 0), CheckFailure);
+  EXPECT_THROW(runner.sample_block_shots(*state, 0, 0), CheckFailure);
 }
 
 }  // namespace

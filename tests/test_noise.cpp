@@ -6,42 +6,47 @@
 
 #include "common/check.h"
 #include "common/math.h"
+#include "dense_test_util.h"
 #include "partial/noisy.h"
 
 namespace pqs::qsim {
 namespace {
 
+using test::dense_backend;
+using test::linf;
+
 TEST(Noise, DisabledModelInjectsNothing) {
-  auto sv = StateVector::uniform(5);
-  const auto before = sv;
+  auto state = dense_backend(5);
+  const auto before = state->amplitudes_copy();
   Rng rng(1);
   NoiseModel model;  // kNone
-  EXPECT_EQ(apply_noise(sv, model, rng), 0u);
+  EXPECT_EQ(state->apply_noise(model, rng), 0u);
   model = {NoiseKind::kDepolarizing, 0.0};
-  EXPECT_EQ(apply_noise(sv, model, rng), 0u);
-  EXPECT_LT(sv.linf_distance(before), 1e-15);
+  EXPECT_EQ(state->apply_noise(model, rng), 0u);
+  EXPECT_LT(linf(state->amplitudes_copy(), before), 1e-15);
 }
 
 TEST(Noise, ProbabilityOneDephasingFlipsEveryOneBit) {
   // Z on every qubit: basis state |x> picks up (-1)^{popcount(x)}.
-  auto sv = StateVector::uniform(3);
+  auto state = dense_backend(3);
   Rng rng(2);
   const NoiseModel model{NoiseKind::kDephasing, 1.0};
-  EXPECT_EQ(apply_noise(sv, model, rng), 3u);
+  EXPECT_EQ(state->apply_noise(model, rng), 3u);
+  const auto amps = state->amplitudes_copy();
   for (Index x = 0; x < 8; ++x) {
     const double sign = __builtin_popcountll(x) % 2 == 0 ? 1.0 : -1.0;
-    EXPECT_NEAR(sv.amplitude(x).real(), sign / std::sqrt(8.0), 1e-12)
-        << "x=" << x;
+    EXPECT_NEAR(amps[x].real(), sign / std::sqrt(8.0), 1e-12) << "x=" << x;
   }
 }
 
 TEST(Noise, ProbabilityOneBitFlipPermutesBasis) {
   // X on every qubit maps |x> -> |~x>.
-  auto sv = StateVector::basis(4, 0b0110);
+  auto state = dense_backend(4);
+  state->reset_basis(0b0110);
   Rng rng(3);
   const NoiseModel model{NoiseKind::kBitFlip, 1.0};
-  apply_noise(sv, model, rng);
-  EXPECT_NEAR(sv.probability(0b1001), 1.0, 1e-12);
+  state->apply_noise(model, rng);
+  EXPECT_NEAR(state->probability(0b1001), 1.0, 1e-12);
 }
 
 TEST(Noise, InjectionRateMatchesProbability) {
@@ -49,9 +54,10 @@ TEST(Noise, InjectionRateMatchesProbability) {
   const NoiseModel model{NoiseKind::kDepolarizing, 0.3};
   std::uint64_t injected = 0;
   constexpr int kTrials = 3000;
+  auto state = dense_backend(4);
   for (int t = 0; t < kTrials; ++t) {
-    auto sv = StateVector::uniform(4);
-    injected += apply_noise(sv, model, rng);
+    state->reset_uniform();
+    injected += state->apply_noise(model, rng);
   }
   const double rate =
       static_cast<double>(injected) / (4.0 * kTrials);  // per qubit
@@ -62,34 +68,31 @@ TEST(Noise, PreservesNorm) {
   Rng rng(5);
   for (const auto kind : {NoiseKind::kDepolarizing, NoiseKind::kDephasing,
                           NoiseKind::kBitFlip}) {
-    auto sv = StateVector::uniform(6);
-    sv.phase_flip(13);
-    sv.reflect_about_uniform();
+    auto state = dense_backend(6, 1, 13);
+    state->apply_oracle();
+    state->apply_global_diffusion();
     const NoiseModel model{kind, 0.5};
     for (int i = 0; i < 10; ++i) {
-      apply_noise(sv, model, rng);
+      state->apply_noise(model, rng);
     }
-    EXPECT_NEAR(sv.norm_squared(), 1.0, 1e-10)
-        << noise_kind_name(kind);
+    EXPECT_NEAR(state->norm_squared(), 1.0, 1e-10) << noise_kind_name(kind);
   }
 }
 
 TEST(Noise, RejectsInvalidProbability) {
-  auto sv = StateVector::uniform(2);
+  auto state = dense_backend(2);
   Rng rng(6);
   const NoiseModel model{NoiseKind::kBitFlip, 1.5};
-  EXPECT_THROW(apply_noise(sv, model, rng), CheckFailure);
+  EXPECT_THROW(state->apply_noise(model, rng), CheckFailure);
 }
 
 TEST(Noise, RejectsNegativeProbability) {
   // Regression: a negative p used to make every Bernoulli draw fail, so a
   // "noisy" run silently executed clean while being reported as noisy.
-  auto sv = StateVector::uniform(2);
   Rng rng(6);
   const NoiseModel model{NoiseKind::kDepolarizing, -0.1};
   EXPECT_FALSE(model.valid());
   EXPECT_THROW(model.validate(), CheckFailure);
-  EXPECT_THROW(apply_noise(sv, model, rng), CheckFailure);
 
   const oracle::Database db = oracle::Database::with_qubits(6, 1);
   Rng rng2(7);
@@ -112,16 +115,17 @@ TEST(Noise, InjectedCountsOnlyRealGateApplications) {
   // dispatch, so a kNone arm (or any non-applying path) could report
   // injections that never touched the state.
   Rng rng(8);
-  auto sv = StateVector::uniform(3);
-  const auto before = sv;
-  EXPECT_EQ(apply_noise(sv, NoiseModel{NoiseKind::kNone, 1.0}, rng), 0u);
-  EXPECT_LT(sv.linf_distance(before), 1e-15);
+  auto state = dense_backend(3);
+  const auto before = state->amplitudes_copy();
+  EXPECT_EQ(state->apply_noise(NoiseModel{NoiseKind::kNone, 1.0}, rng), 0u);
+  EXPECT_LT(linf(state->amplitudes_copy(), before), 1e-15);
 
   // With p = 1 every qubit gets exactly one real Pauli: count == qubits and
   // the state moved (Z on the uniform state flips signs).
-  auto sv2 = StateVector::uniform(4);
-  EXPECT_EQ(apply_noise(sv2, NoiseModel{NoiseKind::kDephasing, 1.0}, rng), 4u);
-  EXPECT_GT(sv2.linf_distance(StateVector::uniform(4)), 0.1);
+  auto state2 = dense_backend(4);
+  EXPECT_EQ(state2->apply_noise(NoiseModel{NoiseKind::kDephasing, 1.0}, rng),
+            4u);
+  EXPECT_GT(linf(*state2, *dense_backend(4)), 0.1);
 
   // Same contract for both engines.
   auto backend = make_backend(BackendKind::kDense,

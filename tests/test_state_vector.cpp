@@ -1,78 +1,77 @@
-#include "qsim/state_vector.h"
+// Tests for the dense state every dense path runs on: DenseBackend's state
+// preparation (|psi0>, basis states), capacity limits, per-address and
+// per-block observables, norm-preserving operators and sampling.
+#include "qsim/backend.h"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
 #include "common/check.h"
 #include "common/math.h"
+#include "dense_test_util.h"
+#include "qsim/circuit.h"
+#include "qsim/gates.h"
 
 namespace pqs::qsim {
 namespace {
 
-TEST(StateVector, ZeroStateIsBasisZero) {
-  const auto sv = StateVector::zero_state(3);
-  EXPECT_EQ(sv.dimension(), 8u);
-  EXPECT_NEAR(sv.probability(0), 1.0, 1e-15);
+using test::dense_backend;
+using test::linf;
+
+TEST(DenseBackendTest, BasisStatePreparation) {
+  auto state = dense_backend(3);
+  state->reset_basis(0);
+  EXPECT_NEAR(state->probability(0), 1.0, 1e-15);
   for (Index x = 1; x < 8; ++x) {
-    EXPECT_NEAR(sv.probability(x), 0.0, 1e-15);
+    EXPECT_NEAR(state->probability(x), 0.0, 1e-15);
   }
+  state->reset_basis(5);
+  EXPECT_NEAR(state->probability(5), 1.0, 1e-15);
+  EXPECT_NEAR(state->norm_squared(), 1.0, 1e-15);
+  EXPECT_THROW(state->reset_basis(8), CheckFailure);
+  // The symmetry engine cannot hold a basis state.
+  auto symmetry = make_backend(BackendKind::kSymmetry,
+                               BackendSpec::single_target(8, 1, 0));
+  EXPECT_THROW(symmetry->reset_basis(0), CheckFailure);
 }
 
-TEST(StateVector, UniformHasEqualProbabilities) {
-  const auto sv = StateVector::uniform(4);
+TEST(DenseBackendTest, UniformHasEqualProbabilities) {
+  const auto state = dense_backend(4);
   for (Index x = 0; x < 16; ++x) {
-    EXPECT_NEAR(sv.probability(x), 1.0 / 16.0, 1e-15);
+    EXPECT_NEAR(state->probability(x), 1.0 / 16.0, 1e-15);
   }
-  EXPECT_NEAR(sv.norm_squared(), 1.0, 1e-14);
+  EXPECT_NEAR(state->norm_squared(), 1.0, 1e-14);
 }
 
-TEST(StateVector, BasisState) {
-  const auto sv = StateVector::basis(3, 5);
-  EXPECT_NEAR(sv.probability(5), 1.0, 1e-15);
-  EXPECT_NEAR(sv.norm_squared(), 1.0, 1e-15);
-}
-
-TEST(StateVector, BasisRejectsOutOfRange) {
-  EXPECT_THROW(StateVector::basis(2, 4), CheckFailure);
-}
-
-TEST(StateVector, FromAmplitudesRequiresPowerOfTwo) {
-  EXPECT_THROW(StateVector::from_amplitudes(std::vector<Amplitude>(12)),
+TEST(DenseBackendTest, CapacityLimits) {
+  EXPECT_THROW(make_backend(BackendKind::kDense,
+                            BackendSpec::single_target(1, 1, 0)),
                CheckFailure);
-  const auto sv =
-      StateVector::from_amplitudes(std::vector<Amplitude>(8, {0.25, 0.0}));
-  EXPECT_EQ(sv.num_qubits(), 3u);
+  EXPECT_THROW(make_backend(BackendKind::kDense,
+                            BackendSpec::single_target(kMaxDenseItems * 2, 1,
+                                                       0)),
+               CheckFailure);
 }
 
-TEST(StateVector, QubitCountLimits) {
-  EXPECT_THROW(StateVector(0), CheckFailure);
-  EXPECT_THROW(StateVector(kMaxQubits + 1), CheckFailure);
+TEST(DenseBackendTest, GateOpsNeedPowerOfTwoDatabase) {
+  // Any N runs the search operators; only qubit-level gates need N = 2^n.
+  auto state = make_backend(BackendKind::kDense,
+                            BackendSpec::single_target(12, 3, 3));
+  state->apply_oracle();
+  state->apply_block_diffusion();
+  EXPECT_NEAR(state->norm_squared(), 1.0, 1e-12);
+  EXPECT_THROW(state->apply_gate1(0, gates::H()), CheckFailure);
 }
 
-TEST(StateVector, NormalizeRescales) {
-  auto sv = StateVector::from_amplitudes(
-      std::vector<Amplitude>{{3.0, 0.0}, {4.0, 0.0}});
-  EXPECT_NEAR(sv.norm(), 5.0, 1e-12);
-  sv.normalize();
-  EXPECT_NEAR(sv.norm(), 1.0, 1e-12);
-  EXPECT_NEAR(sv.probability(0), 9.0 / 25.0, 1e-12);
-}
-
-TEST(StateVector, InnerAndFidelity) {
-  const auto a = StateVector::basis(2, 1);
-  const auto b = StateVector::uniform(2);
-  EXPECT_NEAR(std::abs(a.inner(b)), 0.5, 1e-12);
-  EXPECT_NEAR(a.fidelity(b), 0.25, 1e-12);
-  EXPECT_NEAR(a.fidelity(a), 1.0, 1e-12);
-}
-
-TEST(StateVector, BlockProbabilityPartitionsUnity) {
-  auto sv = StateVector::uniform(5);
-  sv.apply_gate1(0, gates::T());
-  sv.apply_gate1(3, gates::H());
+TEST(DenseBackendTest, BlockDistributionPartitionsUnity) {
   for (unsigned k = 1; k <= 5; ++k) {
-    const auto dist = sv.block_distribution(k);
+    auto state = dense_backend(5, pow2(k));
+    state->apply_gate1(0, gates::T());
+    state->apply_gate1(3, gates::H());
+    const auto dist = state->block_distribution();
+    ASSERT_EQ(dist.size(), pow2(k));
     double total = 0.0;
     for (const double p : dist) {
       total += p;
@@ -81,73 +80,67 @@ TEST(StateVector, BlockProbabilityPartitionsUnity) {
   }
 }
 
-TEST(StateVector, BlockProbabilityUsesMostSignificantBits) {
-  // |110> (index 6) with k=1 lies in block 1; with k=2 in block 3.
-  const auto sv = StateVector::basis(3, 6);
-  EXPECT_NEAR(sv.block_probability(1, 1), 1.0, 1e-15);
-  EXPECT_NEAR(sv.block_probability(2, 3), 1.0, 1e-15);
-  EXPECT_NEAR(sv.block_probability(2, 0), 0.0, 1e-15);
+TEST(DenseBackendTest, BlocksAreKeyedByMostSignificantBits) {
+  // |110> (index 6) with K = 2 lies in block 1; with K = 4 in block 3.
+  auto halves = dense_backend(3, 2);
+  halves->reset_basis(6);
+  EXPECT_NEAR(halves->block_probability(1), 1.0, 1e-15);
+  auto quarters = dense_backend(3, 4);
+  quarters->reset_basis(6);
+  EXPECT_NEAR(quarters->block_probability(3), 1.0, 1e-15);
+  EXPECT_NEAR(quarters->block_probability(0), 0.0, 1e-15);
+  EXPECT_THROW(quarters->block_probability(4), CheckFailure);
 }
 
-TEST(StateVector, HadamardAllMapsZeroToUniform) {
-  auto sv = StateVector::zero_state(6);
-  sv.apply_hadamard_all();
-  const auto uniform = StateVector::uniform(6);
-  EXPECT_LT(sv.linf_distance(uniform), 1e-12);
+TEST(DenseBackendTest, HadamardLayerMapsZeroToUniform) {
+  Circuit layer(6);
+  layer.hadamard_all();
+  auto state = dense_backend(6);
+  state->reset_basis(0);
+  apply_circuit(*state, layer);
+  EXPECT_LT(linf(*state, *dense_backend(6)), 1e-12);
 }
 
-TEST(StateVector, ReflectionsPreserveNorm) {
-  auto sv = StateVector::uniform(6);
-  sv.phase_flip(17);
-  sv.reflect_about_uniform();
-  sv.reflect_blocks_about_uniform(2);
-  sv.rotate_blocks_about_uniform(2, 0.77);
-  sv.reflect_non_target_about_their_mean(17);
-  EXPECT_NEAR(sv.norm_squared(), 1.0, 1e-12);
+TEST(DenseBackendTest, ReflectionsPreserveNorm) {
+  auto state = dense_backend(6, 4, 17);
+  state->apply_oracle();
+  state->apply_global_diffusion();
+  state->apply_block_diffusion();
+  state->apply_block_rotation(0.77);
+  state->apply_step3();
+  EXPECT_NEAR(state->norm_squared(), 1.0, 1e-12);
 }
 
-TEST(StateVector, SampleFollowsDistribution) {
-  // 3/4 weight on |01>, 1/4 on |10>.
-  auto sv = StateVector::from_amplitudes(std::vector<Amplitude>{
-      {0.0, 0.0}, {std::sqrt(0.75), 0.0}, {0.5, 0.0}, {0.0, 0.0}});
+TEST(DenseBackendTest, SampleFollowsDistribution) {
+  // Ry(2pi/3)|0> = 1/2 |0> + sqrt(3)/2 |1>: 3/4 weight on |1>.
+  auto state = dense_backend(2);
+  state->reset_basis(0);
+  state->apply_gate1(0, gates::Ry(2.0 * kPi / 3.0));
   Rng rng(99);
   int count1 = 0;
   constexpr int kShots = 20000;
   for (int s = 0; s < kShots; ++s) {
-    const Index x = sv.sample(rng);
-    ASSERT_TRUE(x == 1 || x == 2);
+    const Index x = state->sample(rng);
+    ASSERT_TRUE(x == 0 || x == 1);
     count1 += x == 1 ? 1 : 0;
   }
   EXPECT_NEAR(static_cast<double>(count1) / kShots, 0.75, 0.02);
 }
 
-TEST(StateVector, SampleBlockMatchesBlockDistribution) {
-  auto sv = StateVector::uniform(4);
-  sv.phase_flip(3);
-  sv.reflect_about_uniform();  // one Grover step toward block 0
+TEST(DenseBackendTest, SampleBlockMatchesBlockDistribution) {
+  auto state = dense_backend(4, 4, 3);
+  state->apply_oracle();
+  state->apply_global_diffusion();  // one Grover step toward block 0
   Rng rng(7);
-  const auto dist = sv.block_distribution(2);
+  const auto dist = state->block_distribution();
   std::vector<int> counts(4, 0);
   constexpr int kShots = 40000;
   for (int s = 0; s < kShots; ++s) {
-    ++counts[sv.sample_block(2, rng)];
+    ++counts[state->sample_block(rng)];
   }
   for (std::size_t b = 0; b < 4; ++b) {
     EXPECT_NEAR(static_cast<double>(counts[b]) / kShots, dist[b], 0.02);
   }
-}
-
-TEST(StateVector, RenderShowsBlocksAndValues) {
-  const auto sv = StateVector::uniform(3);
-  const std::string r = sv.render_real_amplitudes(1);
-  EXPECT_NE(r.find("block 0"), std::string::npos);
-  EXPECT_NE(r.find("block 1"), std::string::npos);
-  EXPECT_NE(r.find("0.35"), std::string::npos);  // 1/sqrt(8) = 0.3536
-}
-
-TEST(StateVector, RenderRejectsLargeStates) {
-  const auto sv = StateVector::uniform(10);
-  EXPECT_THROW(sv.render_real_amplitudes(), CheckFailure);
 }
 
 }  // namespace

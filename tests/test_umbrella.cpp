@@ -13,8 +13,9 @@ TEST(Umbrella, EndToEndMiniPipeline) {
 
   // One symbol from each subsystem, exercised for real.
   EXPECT_TRUE(is_pow2(db.size()));                                 // common
-  auto sv = qsim::StateVector::uniform(8);                         // qsim
-  EXPECT_NEAR(sv.norm_squared(), 1.0, 1e-12);
+  const auto sv = qsim::make_backend(                               // qsim
+      qsim::BackendKind::kDense, qsim::BackendSpec::single_target(256, 1, 0));
+  EXPECT_NEAR(sv->norm_squared(), 1.0, 1e-12);
   const auto grover_run = grover::search(db, rng);                 // grover
   EXPECT_GT(grover_run.success_probability, 0.9);
   db.reset_queries();

@@ -3,29 +3,86 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
 #include "common/check.h"
 #include "common/math.h"
 #include "grover/grover.h"
+#include "oracle/database.h"
 #include "qsim/kernels.h"
 
 namespace pqs::zalka {
 namespace {
 
+std::vector<qsim::Amplitude> basis(std::size_t dim, qsim::Index x) {
+  std::vector<qsim::Amplitude> amps(dim);
+  amps[x] = 1.0;
+  return amps;
+}
+
+std::vector<qsim::Amplitude> uniform(std::size_t dim) {
+  return std::vector<qsim::Amplitude>(
+      dim, 1.0 / std::sqrt(static_cast<double>(dim)));
+}
+
 TEST(StateAngle, BasicGeometry) {
-  const auto a = qsim::StateVector::basis(3, 0);
-  const auto b = qsim::StateVector::basis(3, 5);
-  const auto u = qsim::StateVector::uniform(3);
+  const auto a = basis(8, 0);
+  const auto b = basis(8, 5);
+  const auto u = uniform(8);
   EXPECT_NEAR(state_angle(a, a), 0.0, 1e-9);
   EXPECT_NEAR(state_angle(a, b), kHalfPi, 1e-12);
   EXPECT_NEAR(state_angle(a, u), std::acos(1.0 / std::sqrt(8.0)), 1e-12);
+  // |<1|u>| = 1/2 on two qubits.
+  EXPECT_NEAR(state_angle(basis(4, 1), uniform(4)), std::acos(0.5), 1e-12);
+  EXPECT_THROW(state_angle(a, uniform(4)), CheckFailure);
 }
 
 TEST(StateAngle, InsensitiveToGlobalPhase) {
-  auto a = qsim::StateVector::uniform(4);
+  const auto a = uniform(16);
   auto b = a;
-  b.scale(qsim::Amplitude{-1.0, 0.0});
+  for (auto& amp : b) {
+    amp = -amp;
+  }
   EXPECT_NEAR(state_angle(a, b), 0.0, 1e-9);
+}
+
+TEST(RunHybrid, AllIdentityQueriesLeaveTheUniformState) {
+  // All five queries replaced by identity: the diffusion fixes |psi0>, so
+  // the state must remain uniform.
+  const oracle::Database db = oracle::Database::with_qubits(4, 9);
+  const auto circuit = qsim::make_grover_circuit(4, 5);
+  const auto state = run_hybrid(circuit, db.view(), /*identity_until=*/5);
+  EXPECT_NEAR(state_angle(state, uniform(16)), 0.0, 1e-6);
+  for (const auto& amp : state) {
+    EXPECT_LT(std::abs(amp - 0.25), 1e-12);
+  }
+}
+
+TEST(RunHybrid, SuffixMatchesShorterRealRun) {
+  // First 2 of 5 queries identity == running only the last 3 iterations
+  // (diffusion on uniform is the identity).
+  const oracle::Database db = oracle::Database::with_qubits(4, 9);
+  const auto hybrid = run_hybrid(qsim::make_grover_circuit(4, 5), db.view(),
+                                 /*identity_until=*/2);
+  const auto direct =
+      run_hybrid(qsim::make_grover_circuit(4, 3), db.view(), 0);
+  ASSERT_EQ(hybrid.size(), direct.size());
+  for (std::size_t i = 0; i < direct.size(); ++i) {
+    EXPECT_LT(std::abs(hybrid[i] - direct[i]), 1e-12) << i;
+  }
+}
+
+TEST(RunHybrid, SnapshotsPrecedeEveryQuery) {
+  const oracle::Database db = oracle::Database::with_qubits(4, 9);
+  std::vector<std::vector<qsim::Amplitude>> before;
+  const auto final_state =
+      run_hybrid(qsim::make_grover_circuit(4, 3), db.view(), 0, &before);
+  ASSERT_EQ(before.size(), 3u);
+  EXPECT_NEAR(state_angle(before[0], uniform(16)), 0.0, 1e-6);
+  // One real Grover iteration separates consecutive snapshots.
+  const auto one = run_hybrid(qsim::make_grover_circuit(4, 1), db.view(), 0);
+  EXPECT_NEAR(state_angle(before[1], one), 0.0, 1e-6);
+  EXPECT_GT(std::norm(final_state[9]), 0.9);
 }
 
 class ZalkaOnGrover : public ::testing::TestWithParam<unsigned> {};

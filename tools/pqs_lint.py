@@ -10,9 +10,9 @@ actually shipped here or is one design decision away from shipping:
                      `#pragma omp parallel` region. Worker threads each see
                      their own (empty) thread_local instance, so writes go
                      to buffers nobody reads — the exact PR 6
-                     apply_dense_matrix bug. Hoist a raw pointer outside
-                     the region instead (src/qsim/diffusion.cpp shows the
-                     fixed shape).
+                     apply_dense_matrix bug. Hoist a raw pointer to a
+                     caller-owned buffer outside the region instead
+                     (src/qsim/diffusion.cpp shows the fixed shape).
 
   raw-plane-access   `.re(` / `.im(` SoA plane access outside the qsim
                      kernel/substrate layer. The planes carry a block-sum
@@ -61,9 +61,14 @@ actually shipped here or is one design decision away from shipping:
                      sleeping, and a span timeline is always comparable to
                      the stage histograms recorded next to it.
 
+Every approved-file list below names files that must exist: the tree scan
+also fails on an entry whose file is gone, so a grant cannot outlive the
+code it was made for.
+
 Usage:
   tools/pqs_lint.py [--root DIR]      lint the tree (src/ tools/ examples/
-                                      bench/); exit 1 on any violation
+                                      bench/) and the approved-file lists;
+                                      exit 1 on any violation
   tools/pqs_lint.py --self-test       run the golden fixtures under
                                       tests/lint_fixtures/ (each rule has
                                       one violating and one clean fixture)
@@ -79,8 +84,8 @@ from pathlib import Path
 # Approved-file lists (repo-relative, forward slashes). Growing one of these
 # is an explicit, reviewed act — that is the point of the lint.
 
-# The SoA substrate: the kernel tiers plus the three qsim internals that
-# legitimately stream the raw planes (and own the invalidate_sums calls).
+# The SoA substrate: the kernel tiers plus DenseBackend, the one qsim
+# internal that legitimately streams the raw planes (its sampler).
 PLANE_ACCESS_ALLOWED = {
     "src/qsim/soa.h",
     "src/qsim/kernels.h",
@@ -90,9 +95,7 @@ PLANE_ACCESS_ALLOWED = {
     "src/qsim/kernels_avx2.cpp",
     "src/qsim/kernels_avx512.cpp",
     "src/qsim/kernels_soa.cpp",
-    "src/qsim/state_vector.cpp",
     "src/qsim/backend.cpp",
-    "src/qsim/diffusion.cpp",
 }
 
 RANDOM_ALLOWED = {
@@ -299,8 +302,8 @@ def check_plane_access(rel, raw, stripped):
         violations.append(Violation(
             rel, line, "raw-plane-access",
             f"raw SoA plane access `.{match.group(1)}(` outside the qsim "
-            f"kernel layer; go through StateVector/kernels (the planes "
-            f"carry a block-sum cache that direct access corrupts)"))
+            f"kernel layer; go through qsim::Backend or qsim::kernels (the "
+            f"planes carry a block-sum cache that direct access corrupts)"))
     return violations
 
 
@@ -465,8 +468,32 @@ def tree_files(root):
                 yield path
 
 
-def lint_tree(root):
+ALLOWLISTS = {
+    "PLANE_ACCESS_ALLOWED": PLANE_ACCESS_ALLOWED,
+    "RANDOM_ALLOWED": RANDOM_ALLOWED,
+    "BARE_MUTEX_ALLOWED": BARE_MUTEX_ALLOWED,
+    "OMP_PRAGMA_ALLOWED": OMP_PRAGMA_ALLOWED,
+    "JOURNAL_APPEND_ALLOWED": JOURNAL_APPEND_ALLOWED,
+    "RAW_CLOCK_ALLOWED": RAW_CLOCK_ALLOWED,
+}
+
+
+def check_allowlists(root):
+    """An approved-file entry whose file no longer exists is a violation:
+    deleting a file must also revoke its grant."""
     violations = []
+    for name, entries in ALLOWLISTS.items():
+        for rel in sorted(entries):
+            if not (root / rel).is_file():
+                violations.append(Violation(
+                    rel, 1, "stale-allowlist",
+                    f"tools/pqs_lint.py {name} names a file that does not "
+                    f"exist; drop the entry with the file"))
+    return violations
+
+
+def lint_tree(root):
+    violations = check_allowlists(root)
     count = 0
     for path in tree_files(root):
         count += 1

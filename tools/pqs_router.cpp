@@ -494,8 +494,6 @@ std::vector<net::Addr> parse_worker_list(const std::string& text) {
   return workers;
 }
 
-volatile std::sig_atomic_t g_stop = 0;
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -514,6 +512,7 @@ int main(int argc, char** argv) {
   PQS_CHECK_MSG(!net_options.listen.empty(),
                 "pqs_router needs --listen host:port");
   const std::vector<net::Addr> workers = parse_worker_list(workers_flag);
+  net::block_stop_signals();  // before the acceptor starts any thread
 
   net::AcceptorOptions acceptor_options;
   acceptor_options.listen = net::parse_hostport(net_options.listen);
@@ -533,13 +532,7 @@ int main(int argc, char** argv) {
             << ":" << acceptor.port() << ", sharding across " << workers.size()
             << " worker(s)\n";
 
-  std::signal(SIGINT, [](int) { g_stop = 1; });
-  std::signal(SIGTERM, [](int) { g_stop = 1; });
-  sigset_t mask;
-  sigemptyset(&mask);
-  while (g_stop == 0) {
-    sigsuspend(&mask);
-  }
+  net::wait_for_stop_signal();
   std::cerr << "pqs_router: shutting down\n";
   acceptor.stop();
   return 0;

@@ -38,7 +38,6 @@
 // previous process left unfinished — through the ordinary coalescing
 // submit path — before accepting new traffic. --journal-sync picks the
 // fsync policy (see src/service/journal.h for the durability contract).
-#include <csignal>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -76,9 +75,8 @@ int run_stdio(Service& service, const net::SessionOptions& session_options) {
   return 0;
 }
 
-/// TCP mode: serve until SIGINT/SIGTERM.
-volatile std::sig_atomic_t g_stop = 0;
-
+/// TCP mode: serve until SIGINT/SIGTERM (blocked since the start of main,
+/// see net::block_stop_signals).
 int run_listen(Service& service, const service::NetOptions& net_options,
                const net::SessionOptions& session_options) {
   net::NetServerOptions options;
@@ -91,13 +89,7 @@ int run_listen(Service& service, const service::NetOptions& net_options,
   std::cerr << "pqs_serve: listening on " << options.listen.host << ":"
             << server.port() << "\n";
 
-  std::signal(SIGINT, [](int) { g_stop = 1; });
-  std::signal(SIGTERM, [](int) { g_stop = 1; });
-  sigset_t mask;
-  sigemptyset(&mask);
-  while (g_stop == 0) {
-    sigsuspend(&mask);  // sleep until any signal delivers
-  }
+  net::wait_for_stop_signal();
   std::cerr << "pqs_serve: shutting down\n";
   server.stop();
   return 0;
@@ -122,6 +114,11 @@ int main(int argc, char** argv) {
     return 0;
   }
   cli.finish();
+  if (!net_options.listen.empty()) {
+    // Before the Service starts its workers; stdin mode keeps the default
+    // Ctrl-C behaviour.
+    net::block_stop_signals();
+  }
 
   // One process, one registry: service, planner, journal, and the TCP
   // front door all register here, so a single `metrics` op answers for
