@@ -17,7 +17,7 @@
 #include "oracle/database.h"
 #include "partial/grk.h"
 #include "partial/optimizer.h"
-#include "qsim/flags.h"
+#include "qsim/backend.h"
 
 namespace {
 
@@ -64,7 +64,8 @@ int main(int argc, char** argv) {
       cli.get_int("kbits", 2, "block bits (K = 2^k)"));
   // Snapshot capture needs full amplitude vectors: --backend symmetry is
   // rejected loudly by run_partial_search rather than silently ignored.
-  const auto engine = qsim::parse_engine_flags(cli);
+  const auto backend_kind = qsim::parse_backend_kind(cli.get_string(
+      "backend", "auto", "simulation engine: auto | dense | symmetry"));
   if (cli.help_requested()) {
     std::cout << cli.help();
     return 0;
@@ -77,7 +78,7 @@ int main(int argc, char** argv) {
   Rng rng(5);
 
   partial::GrkOptions options;
-  options.backend = engine.backend;
+  options.backend = backend_kind;
   options.capture_snapshots = true;
   options.min_success = 1.0 - 1.0 / std::sqrt(static_cast<double>(n_items));
   const auto result = partial::run_partial_search(db, k, rng, options);

@@ -25,7 +25,7 @@
 #include "partial/bounds.h"
 #include "partial/grk.h"
 #include "partial/optimizer.h"
-#include "qsim/flags.h"
+#include "qsim/backend.h"
 
 namespace {
 
@@ -47,7 +47,8 @@ int main(int argc, char** argv) {
   Cli cli(argc, argv);
   const auto n = static_cast<unsigned>(
       cli.get_int("qubits", 16, "address qubits for the simulated column"));
-  const auto engine = qsim::parse_engine_flags(cli);
+  const auto backend_kind = qsim::parse_backend_kind(cli.get_string(
+      "backend", "auto", "simulation engine: auto | dense | symmetry"));
   if (cli.help_requested()) {
     std::cout << cli.help();
     return 0;
@@ -78,7 +79,7 @@ int main(int argc, char** argv) {
       const oracle::Database db =
           oracle::Database::with_qubits(n, n_items / 2 + 17);
       partial::GrkOptions options;
-      options.backend = engine.backend;
+      options.backend = backend_kind;
       options.min_success = 1.0 - 1.0 / sqrt_n;
       const auto run = partial::run_partial_search(db, k_bits, rng, options);
       sim_q = Table::num(static_cast<double>(run.queries) / sqrt_n, 3);

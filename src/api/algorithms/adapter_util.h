@@ -1,6 +1,7 @@
 // Shared plumbing of the algorithm adapters: spec -> oracle construction,
-// success-floor resolution, and multi-shot measurement of an evolved
-// backend. Internal to src/api/algorithms/.
+// success-floor resolution, and the measurement of an evolved backend.
+// An adapter is plan -> the module's evolve step -> measure_shots.
+// Internal to src/api/algorithms/.
 #pragma once
 
 #include <string>
@@ -41,16 +42,25 @@ inline unsigned block_bits(const SearchSpec& spec) {
   return log2_exact(spec.n_blocks);
 }
 
-/// Measure an evolved backend spec.shots times (fanned over spec.batch
-/// threads, streams derived from ctx.rng so the spec seed rules) and fill
-/// the measurement fields of `report`: `measured` becomes the modal
-/// outcome, `correct` compares it against `truth`. Used by adapters for
-/// shots > 1; a single shot stays on the module's own sampling path so it
-/// is bit-identical to the direct call.
+/// The one measurement step of the adapters: measure an evolved backend
+/// spec.shots times and fill the measurement fields of `report` —
+/// `measured` becomes the modal outcome, `correct` compares it against
+/// `truth`. A single shot is one draw from ctx.rng, the draw the module's
+/// own run_* / search_* makes, and leaves `trials` and `detail` as they
+/// are. More shots fan over spec.batch threads (streams derived from
+/// ctx.rng, so the spec seed rules), set `trials`, and put the mode
+/// frequency in front of any `detail` the adapter already wrote.
 inline void measure_shots(SearchReport& report, const qsim::Backend& backend,
                           RunContext& ctx, bool block_answer,
                           qsim::Index truth) {
-  ctx.checkpoint();  // the state is evolved; bail before the shot sweep
+  ctx.checkpoint();  // the state is evolved; bail before sampling
+  report.block_answer = block_answer;
+  if (ctx.spec.shots == 1) {
+    report.measured = block_answer ? backend.sample_block(ctx.rng)
+                                   : backend.sample(ctx.rng);
+    report.correct = report.measured == truth;
+    return;
+  }
   if (ctx.control != nullptr) {
     ctx.control->set_work_total(ctx.spec.shots);
   }
@@ -60,12 +70,14 @@ inline void measure_shots(SearchReport& report, const qsim::Backend& backend,
           ? runner.sample_block_shots(backend, ctx.spec.shots, 0)
           : runner.sample_shots(backend, ctx.spec.shots, 0);
   report.measured = shot_report.mode;
-  report.block_answer = block_answer;
   report.correct = shot_report.mode == truth;
   report.trials = ctx.spec.shots;
-  report.detail = "mode frequency " +
-                  std::to_string(shot_report.mode_frequency) + " over " +
-                  std::to_string(ctx.spec.shots) + " shots";
+  const std::string detail = "mode frequency " +
+                             std::to_string(shot_report.mode_frequency) +
+                             " over " + std::to_string(ctx.spec.shots) +
+                             " shots";
+  report.detail =
+      report.detail.empty() ? detail : detail + "; " + report.detail;
 }
 
 }  // namespace pqs::api

@@ -30,11 +30,6 @@ class AmpampAlgorithm final : public Algorithm {
     report.queries_per_trial = report.queries;
     report.success_probability = backend->marked_probability();
     report.backend_used = backend->kind();
-    if (ctx.spec.shots == 1) {
-      report.measured = backend->sample(ctx.rng);
-      report.correct = db.peek(report.measured);
-      return report;
-    }
     measure_shots(report, *backend, ctx, /*block_answer=*/false,
                   /*truth=*/0);
     report.correct = db.peek(report.measured);  // any marked mode counts

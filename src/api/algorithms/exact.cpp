@@ -22,17 +22,6 @@ class ExactAlgorithm final : public Algorithm {
     const auto schedule = grover::exact_schedule(db.size());
     SearchReport report;
     report.l1 = schedule.plain_iterations;
-    if (ctx.spec.shots == 1) {
-      const auto r =
-          grover::search_exact(db, ctx.rng, {.backend = ctx.spec.backend});
-      report.measured = r.measured;
-      report.correct = r.correct;
-      report.queries = r.queries;
-      report.queries_per_trial = r.queries;
-      report.success_probability = r.success_probability;
-      report.backend_used = r.backend_used;
-      return report;
-    }
     const auto backend = grover::evolve_exact_on_backend(db, ctx.spec.backend);
     report.queries = db.queries();
     report.queries_per_trial = report.queries;

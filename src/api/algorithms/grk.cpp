@@ -24,39 +24,24 @@ class GrkAlgorithm final : public Algorithm {
     const auto db = database_for(ctx);
 
     SearchReport report;
-    partial::GrkOptions options;
-    options.backend = ctx.spec.backend;
     if (ctx.spec.l1.has_value() && ctx.spec.l2.has_value()) {
-      options.l1 = ctx.spec.l1;
-      options.l2 = ctx.spec.l2;
+      report.l1 = *ctx.spec.l1;
+      report.l2 = *ctx.spec.l2;
     } else {
       const double floor = effective_floor(
           ctx.spec, partial::default_min_success(db.size()));
       const Plan plan =
           ctx.planner.schedule(db.size(), ctx.spec.n_blocks, floor,
                                /*n_marked=*/1, ctx.control);
-      options.l1 = ctx.spec.l1.value_or(plan.schedule.l1);
-      options.l2 = ctx.spec.l2.value_or(plan.schedule.l2);
+      report.l1 = ctx.spec.l1.value_or(plan.schedule.l1);
+      report.l2 = ctx.spec.l2.value_or(plan.schedule.l2);
       report.plan_cache_hit = plan.cache_hit;
       report.plan_ns = plan.plan_ns;
     }
-    report.l1 = *options.l1;
-    report.l2 = *options.l2;
     ctx.checkpoint();  // planning may have taken seconds
 
-    if (ctx.spec.shots == 1) {
-      const auto r = partial::run_partial_search(db, k, ctx.rng, options);
-      report.measured = r.measured_block;
-      report.block_answer = true;
-      report.correct = r.correct;
-      report.queries = r.queries;
-      report.queries_per_trial = r.queries;
-      report.success_probability = r.block_probability;
-      report.backend_used = r.backend_used;
-      return report;
-    }
     const auto backend = partial::evolve_partial_search_on_backend(
-        db, k, *options.l1, *options.l2, ctx.spec.backend);
+        db, k, report.l1, report.l2, ctx.spec.backend);
     report.queries = db.queries();
     report.queries_per_trial = report.queries;
     report.success_probability =

@@ -22,17 +22,6 @@ class GroverAlgorithm final : public Algorithm {
         ctx.spec.l1.value_or(grover::optimal_iterations(db.size()));
     SearchReport report;
     report.l1 = iterations;
-    if (ctx.spec.shots == 1) {
-      const auto r = grover::search_with_iterations(
-          db, iterations, ctx.rng, {.backend = ctx.spec.backend});
-      report.measured = r.measured;
-      report.correct = r.correct;
-      report.queries = r.queries;
-      report.queries_per_trial = r.queries;
-      report.success_probability = r.success_probability;
-      report.backend_used = r.backend_used;
-      return report;
-    }
     const auto backend =
         grover::evolve_on_backend(db, iterations, ctx.spec.backend);
     report.queries = db.queries();

@@ -27,36 +27,21 @@ class InterleaveAlgorithm final : public Algorithm {
     ctx.checkpoint();
     PQS_CHECK_MSG(ctx.spec.shots == 1,
                   "\"interleave\" runs a single measured trial; drop shots");
-    const unsigned k = block_bits(ctx.spec);
+    block_bits(ctx.spec);  // checks K = 2^k >= 2
     const auto db = database_for(ctx);
     const double floor =
         effective_floor(ctx.spec, partial::default_min_success(db.size()));
     const auto opt = partial::optimize_interleaved(
         db.size(), ctx.spec.n_blocks, floor, kMaxSegments);
 
-    // Execute the optimized schedule and measure (the loop mirrors
-    // run_schedule_on_backend, which only reports the probability).
     auto backend = qsim::make_backend(
         ctx.spec.backend, qsim::BackendSpec::single_target(
                               db.size(), ctx.spec.n_blocks, db.target()));
-    for (const auto& segment : opt.schedule.segments) {
-      for (std::uint64_t i = 0; i < segment.count; ++i) {
-        db.add_queries(1);
-        backend->apply_oracle();
-        if (segment.global) {
-          backend->apply_global_diffusion();
-        } else {
-          backend->apply_block_diffusion();
-        }
-      }
-    }
+    db.add_queries(partial::apply_schedule(*backend, opt.schedule));
     db.add_queries(1);  // Step 3
     backend->apply_step3();
 
     SearchReport report;
-    report.measured = backend->sample_block(ctx.rng);
-    report.block_answer = true;
-    report.correct = report.measured == backend->target_block();
     report.queries = opt.queries;
     report.queries_per_trial = opt.queries;
     report.success_probability =
@@ -64,6 +49,8 @@ class InterleaveAlgorithm final : public Algorithm {
     report.backend_used = backend->kind();
     report.detail = "schedule " + opt.schedule.to_string() +
                     " (model success " + std::to_string(opt.success) + ")";
+    measure_shots(report, *backend, ctx, /*block_answer=*/true,
+                  backend->target_block());
     return report;
   }
 };

@@ -25,20 +25,14 @@ class TwelveAlgorithm final : public Algorithm {
                   "4K/(K-2) has no K <= 2 solution)");
     const auto db = database_for(ctx);
 
-    // The five-stage pattern of Figure 1 (B and D are the two queries).
     auto backend = qsim::make_backend(
         ctx.spec.backend, qsim::BackendSpec::single_target(
                               db.size(), ctx.spec.n_blocks, db.target()));
-    db.add_queries(1);
-    backend->apply_oracle();            // (B)
-    backend->apply_block_diffusion();   // (C)
-    db.add_queries(1);
-    backend->apply_oracle();            // (D)
-    backend->apply_global_diffusion();  // (E)
+    db.add_queries(partial::apply_two_query_pattern(*backend));
 
     SearchReport report;
-    report.queries = 2;
-    report.queries_per_trial = 2;
+    report.queries = db.queries();
+    report.queries_per_trial = report.queries;
     report.success_probability =
         backend->block_probability(backend->target_block());
     report.backend_used = backend->kind();
@@ -46,12 +40,6 @@ class TwelveAlgorithm final : public Algorithm {
       report.detail = "shape is not N = 4K/(K-2): two queries are not "
                       "exact here (see partial/grk.h for the general "
                       "algorithm)";
-    }
-    if (ctx.spec.shots == 1) {
-      report.measured = backend->sample_block(ctx.rng);
-      report.block_answer = true;
-      report.correct = report.measured == backend->target_block();
-      return report;
     }
     measure_shots(report, *backend, ctx, /*block_answer=*/true,
                   backend->target_block());

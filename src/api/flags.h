@@ -1,9 +1,7 @@
-// CLI -> SearchSpec: the facade-era flag set. Where PR 2's qsim/flags.h
-// collapsed the engine knobs (--backend/--batch/--noise) across binaries,
-// this collapses the WHOLE request: --algo plus the shared knobs parse
-// straight into a SearchSpec, so every facade-ported bench and example
-// spells the full request identically and typos fail loudly through
-// Cli::finish().
+// CLI -> SearchSpec: the one shared flag set. --algo plus the engine knobs
+// (--backend/--batch/--noise) parse straight into a SearchSpec, so every
+// facade-ported bench and example spells the full request identically and
+// typos fail loudly through Cli::finish().
 #pragma once
 
 #include "api/search_spec.h"

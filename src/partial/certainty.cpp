@@ -4,6 +4,7 @@
 
 #include "common/check.h"
 #include "common/math.h"
+#include "partial/interleave.h"
 #include "partial/optimizer.h"
 
 namespace pqs::partial {
@@ -132,16 +133,8 @@ CertainResult run_partial_search_certain(const oracle::Database& db,
       backend_kind,
       qsim::BackendSpec::single_target(db.size(), pow2(k), db.target()));
   result.backend_used = backend->kind();
-  for (std::uint64_t i = 0; i < sched.l1; ++i) {
-    db.add_queries(1);
-    backend->apply_oracle();
-    backend->apply_global_diffusion();
-  }
-  for (std::uint64_t i = 0; i < sched.l2_plain; ++i) {
-    db.add_queries(1);
-    backend->apply_oracle();
-    backend->apply_block_diffusion();
-  }
+  db.add_queries(
+      apply_schedule(*backend, Schedule::grk(sched.l1, sched.l2_plain)));
   if (sched.generalized_needed) {
     db.add_queries(1);
     backend->apply_oracle_phase(sched.phases.oracle_phase);

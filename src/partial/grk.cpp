@@ -4,6 +4,7 @@
 
 #include "common/check.h"
 #include "common/math.h"
+#include "partial/interleave.h"
 #include "partial/optimizer.h"
 
 namespace pqs::partial {
@@ -18,27 +19,38 @@ qsim::BackendSpec grk_spec(const oracle::Database& db, unsigned k) {
   return qsim::BackendSpec::single_target(db.size(), pow2(k), db.target());
 }
 
-}  // namespace
-
-std::unique_ptr<qsim::Backend> evolve_partial_search_on_backend(
-    const oracle::Database& db, unsigned k, std::uint64_t l1,
-    std::uint64_t l2, qsim::BackendKind kind) {
-  auto backend = qsim::make_backend(kind, grk_spec(db, k));
-  for (std::uint64_t i = 0; i < l1; ++i) {
-    db.add_queries(1);
-    backend->apply_oracle();            // It
-    backend->apply_global_diffusion();  // I0
+/// Steps 1-3 on a fresh backend, metering queries on db. With `snapshots`
+/// the full amplitude vector is recorded after each step.
+std::unique_ptr<qsim::Backend> evolve(const oracle::Database& db,
+                                      const qsim::BackendSpec& spec,
+                                      std::uint64_t l1, std::uint64_t l2,
+                                      qsim::BackendKind kind,
+                                      GrkSnapshots* snapshots) {
+  auto backend = qsim::make_backend(kind, spec);
+  db.add_queries(apply_schedule(*backend, Schedule{{{true, l1}}}));
+  if (snapshots != nullptr) {
+    snapshots->after_step1 = backend->amplitudes_copy();
   }
-  for (std::uint64_t i = 0; i < l2; ++i) {
-    db.add_queries(1);
-    backend->apply_oracle();           // It
-    backend->apply_block_diffusion();  // I_[K] (x) I0,[N/K]
+  db.add_queries(apply_schedule(*backend, Schedule{{{false, l2}}}));
+  if (snapshots != nullptr) {
+    snapshots->after_step2 = backend->amplitudes_copy();
   }
   // Step 3: one oracle query marks the target out; inversion about the mean
   // of the remaining amplitudes.
   db.add_queries(1);
   backend->apply_step3();
+  if (snapshots != nullptr) {
+    snapshots->after_step3 = backend->amplitudes_copy();
+  }
   return backend;
+}
+
+}  // namespace
+
+std::unique_ptr<qsim::Backend> evolve_partial_search_on_backend(
+    const oracle::Database& db, unsigned k, std::uint64_t l1,
+    std::uint64_t l2, qsim::BackendKind kind) {
+  return evolve(db, grk_spec(db, k), l1, l2, kind, nullptr);
 }
 
 GrkResult run_partial_search(const oracle::Database& db, unsigned k, Rng& rng,
@@ -62,30 +74,10 @@ GrkResult run_partial_search(const oracle::Database& db, unsigned k, Rng& rng,
   }
 
   const std::uint64_t before = db.queries();
-  auto backend = qsim::make_backend(options.backend, spec);
+  const auto backend =
+      evolve(db, spec, result.l1, result.l2, options.backend,
+             options.capture_snapshots ? &result.snapshots : nullptr);
   result.backend_used = backend->kind();
-  for (std::uint64_t i = 0; i < result.l1; ++i) {
-    db.add_queries(1);
-    backend->apply_oracle();
-    backend->apply_global_diffusion();
-  }
-  if (options.capture_snapshots) {
-    result.snapshots.after_step1 = backend->amplitudes_copy();
-  }
-  for (std::uint64_t i = 0; i < result.l2; ++i) {
-    db.add_queries(1);
-    backend->apply_oracle();
-    backend->apply_block_diffusion();
-  }
-  if (options.capture_snapshots) {
-    result.snapshots.after_step2 = backend->amplitudes_copy();
-  }
-  db.add_queries(1);
-  backend->apply_step3();
-  if (options.capture_snapshots) {
-    result.snapshots.after_step3 = backend->amplitudes_copy();
-  }
-
   result.queries = db.queries() - before;
   PQS_CHECK(result.queries == result.l1 + result.l2 + 1);
 

@@ -73,7 +73,9 @@ GrkResult run_partial_search(const oracle::Database& db, unsigned k, Rng& rng,
 
 /// Evolve the pre-measurement state on the chosen engine (no sampling); the
 /// returned backend exposes probabilities, block distributions, and
-/// amplitude materialization.
+/// amplitude materialization. run_partial_search is this evolution plus one
+/// sample_block draw, which is what lets a one-shot "grk" request through
+/// the api layer match it bit for bit.
 std::unique_ptr<qsim::Backend> evolve_partial_search_on_backend(
     const oracle::Database& db, unsigned k, std::uint64_t l1,
     std::uint64_t l2, qsim::BackendKind kind);

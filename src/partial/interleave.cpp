@@ -36,6 +36,21 @@ std::string Schedule::to_string() const {
   return os.str();
 }
 
+std::uint64_t apply_schedule(qsim::Backend& backend,
+                             const Schedule& schedule) {
+  for (const auto& seg : schedule.segments) {
+    for (std::uint64_t i = 0; i < seg.count; ++i) {
+      backend.apply_oracle();  // It
+      if (seg.global) {
+        backend.apply_global_diffusion();  // I0
+      } else {
+        backend.apply_block_diffusion();  // I_[K] (x) I0,[N/K]
+      }
+    }
+  }
+  return schedule.iteration_count();
+}
+
 SubspaceState run_schedule(const SubspaceModel& model,
                            const Schedule& schedule) {
   SubspaceState s = model.uniform_start();
@@ -56,17 +71,7 @@ double run_schedule_on_backend(const oracle::Database& db, unsigned k,
   auto backend = qsim::make_backend(
       backend_kind,
       qsim::BackendSpec::single_target(db.size(), pow2(k), db.target()));
-  for (const auto& seg : schedule.segments) {
-    for (std::uint64_t i = 0; i < seg.count; ++i) {
-      db.add_queries(1);
-      backend->apply_oracle();
-      if (seg.global) {
-        backend->apply_global_diffusion();
-      } else {
-        backend->apply_block_diffusion();
-      }
-    }
-  }
+  db.add_queries(apply_schedule(*backend, schedule));
   db.add_queries(1);  // Step 3
   backend->apply_step3();
   return backend->block_probability(backend->target_block());

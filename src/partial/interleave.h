@@ -9,6 +9,10 @@
 // bench (bench_interleave) compares it against the paper's two-segment
 // optimum: at practical sizes a third segment buys a small but real
 // improvement, and the gain saturates quickly with more segments.
+//
+// Schedule is also the operator schedule every partial searcher runs:
+// apply_schedule is the one G/L iteration loop in src/partial, used by
+// grk, multi, certainty and the interleave adapter alike.
 #pragma once
 
 #include <cstdint>
@@ -31,11 +35,22 @@ struct ScheduleSegment {
 struct Schedule {
   std::vector<ScheduleSegment> segments;
 
+  /// The paper's two-segment form G^l1 L^l2.
+  static Schedule grk(std::uint64_t l1, std::uint64_t l2) {
+    return Schedule{{{true, l1}, {false, l2}}};
+  }
+
   std::uint64_t iteration_count() const;
   std::uint64_t query_count() const { return iteration_count() + 1; }
   /// e.g. "G^12 L^5 G^3".
   std::string to_string() const;
 };
+
+/// Apply the schedule's iterations (not Step 3) to `backend` in place: each
+/// is one oracle call followed by the global (G) or block (L) diffusion.
+/// Returns the oracle queries spent (iteration_count()); the caller meters
+/// them on its database.
+std::uint64_t apply_schedule(qsim::Backend& backend, const Schedule& schedule);
 
 /// Evolve the model through a schedule and Step 3; returns the final state.
 SubspaceState run_schedule(const SubspaceModel& model,

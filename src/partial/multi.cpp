@@ -4,6 +4,7 @@
 
 #include "common/check.h"
 #include "common/math.h"
+#include "partial/interleave.h"
 #include "partial/optimizer.h"
 
 namespace pqs::partial {
@@ -46,16 +47,9 @@ MultiGrkResult run_partial_search_multi(const oracle::MarkedDatabase& db,
       options.backend,
       qsim::BackendSpec{db.size(), pow2(k), db.marked()});
   result.backend_used = backend->kind();
-  for (std::uint64_t i = 0; i < result.l1; ++i) {
-    db.add_queries(1);  // one query flips the whole marked set
-    backend->apply_oracle();
-    backend->apply_global_diffusion();
-  }
-  for (std::uint64_t i = 0; i < result.l2; ++i) {
-    db.add_queries(1);
-    backend->apply_oracle();
-    backend->apply_block_diffusion();
-  }
+  // One query per iteration flips the whole marked set.
+  db.add_queries(
+      apply_schedule(*backend, Schedule::grk(result.l1, result.l2)));
   db.add_queries(1);  // Step 3 marks the set out with one query
   backend->apply_step3();
   result.queries = db.queries() - before;

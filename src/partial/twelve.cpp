@@ -23,41 +23,44 @@ std::vector<double> real_parts(const std::vector<Amplitude>& amps) {
 }
 
 /// The five-stage pattern on an arbitrary (N, K) database, run on the
-/// chosen engine. When `stages` is non-null each stage's amplitudes are
-/// materialized into it (both engines can, for N this small). Returns the
-/// evolved backend for the final observables.
+/// chosen engine. Returns the evolved backend for the final observables.
 std::unique_ptr<qsim::Backend> run_pattern(
     std::uint64_t n_items, std::uint64_t k_blocks, Index target,
-    qsim::BackendKind kind,
-    std::array<std::vector<double>, Figure1Trace::kStages>* stages) {
+    qsim::BackendKind kind, Figure1Trace::Stages* stages) {
   PQS_CHECK(k_blocks >= 2 && n_items % k_blocks == 0);
   PQS_CHECK(n_items / k_blocks >= 2);
   PQS_CHECK(target < n_items);
 
   auto backend = qsim::make_backend(
       kind, qsim::BackendSpec::single_target(n_items, k_blocks, target));
-  const auto record = [&](std::size_t stage) {
-    if (stages != nullptr) {
-      (*stages)[stage] = real_parts(backend->amplitudes_copy());
-    }
-  };
-  record(0);                         // (A) uniform superposition
-
-  backend->apply_oracle();           // (B), query 1
-  record(1);
-
-  backend->apply_block_diffusion();  // (C)
-  record(2);
-
-  backend->apply_oracle();           // (D), query 2
-  record(3);
-
-  backend->apply_global_diffusion(); // (E)
-  record(4);
+  apply_two_query_pattern(*backend, stages);
   return backend;
 }
 
 }  // namespace
+
+std::uint64_t apply_two_query_pattern(qsim::Backend& backend,
+                                      Figure1Trace::Stages* stages) {
+  const auto record = [&](std::size_t stage) {
+    if (stages != nullptr) {
+      (*stages)[stage] = real_parts(backend.amplitudes_copy());
+    }
+  };
+  record(0);                        // (A) uniform superposition
+
+  backend.apply_oracle();           // (B), query 1
+  record(1);
+
+  backend.apply_block_diffusion();  // (C)
+  record(2);
+
+  backend.apply_oracle();           // (D), query 2
+  record(3);
+
+  backend.apply_global_diffusion(); // (E)
+  record(4);
+  return 2;
+}
 
 std::string Figure1Trace::render() const {
   static constexpr const char* kLabels[kStages] = {

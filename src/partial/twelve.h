@@ -34,7 +34,8 @@ namespace pqs::partial {
 /// Amplitudes at each of the five stages (A)-(E) of Figure 1.
 struct Figure1Trace {
   static constexpr std::size_t kStages = 5;
-  std::array<std::vector<double>, kStages> stages;  ///< real amplitudes
+  using Stages = std::array<std::vector<double>, kStages>;
+  Stages stages;                                    ///< real amplitudes
   std::uint64_t queries = 0;                        ///< always 2
   double block_probability = 0.0;   ///< mass of the target block at (E); 1
   double target_probability = 0.0;  ///< |a_t|^2 at (E); 3/4
@@ -42,6 +43,13 @@ struct Figure1Trace {
   /// Multi-line picture in the style of Figure 1 (signed bars per state).
   std::string render() const;
 };
+
+/// Apply the five-stage pattern (A)-(E) in place to `backend`, which must
+/// hold the uniform start state. Returns the oracle queries spent (2); the
+/// caller meters them. With `stages` each stage's real amplitudes are
+/// recorded (both engines can materialize them for N this small).
+std::uint64_t apply_two_query_pattern(qsim::Backend& backend,
+                                      Figure1Trace::Stages* stages = nullptr);
 
 /// Run the Figure-1 example. `target` is the marked address in [0, 12).
 /// Either engine works (the trace materializes per-stage amplitudes, which

@@ -110,11 +110,6 @@ void phase_flip_index(std::span<Amplitude> state, Index t) {
   state[t] = -state[t];
 }
 
-void phase_rotate_index(std::span<Amplitude> state, Index t, double phi) {
-  PQS_CHECK_MSG(t < state.size(), "target index out of range");
-  state[t] *= std::polar(1.0, phi);
-}
-
 void phase_flip_indices(std::span<Amplitude> state,
                         std::span<const Index> marked_sorted) {
   for (std::size_t j = 0; j < marked_sorted.size(); ++j) {
@@ -191,22 +186,6 @@ void rotate_blocks_about_uniform(std::span<Amplitude> state,
     for (std::size_t i = lo; i < lo + block_size; ++i) {
       state[i] += add;
     }
-  }
-}
-
-void reflect_about_state(std::span<Amplitude> state,
-                         std::span<const Amplitude> axis) {
-  PQS_CHECK_MSG(state.size() == axis.size(), "dimension mismatch");
-  PQS_CHECK_MSG(approx_eq(norm_squared(axis), 1.0, 1e-9),
-                "reflection axis must be a unit vector");
-  const Amplitude overlap = inner_product(axis, state);
-  const auto n = static_cast<SIdx>(state.size());
-#ifdef PQS_HAVE_OPENMP
-#pragma omp parallel for schedule(static)
-#endif
-  for (SIdx i = 0; i < n; ++i) {
-    const auto idx = static_cast<std::size_t>(i);
-    state[idx] = 2.0 * overlap * axis[idx] - state[idx];
   }
 }
 

@@ -30,28 +30,6 @@ void apply_controlled_gate1(std::span<Amplitude> state, unsigned n_qubits,
 /// This is the selective inversion I_t = I - 2|t><t| of the paper.
 void phase_flip_index(std::span<Amplitude> state, Index t);
 
-/// Multiply by e^{i phi} the amplitude of basis state `t` (generalized
-/// selective phase, used by the sure-success variants).
-void phase_rotate_index(std::span<Amplitude> state, Index t, double phi);
-
-/// Multiply by -1 every amplitude whose index satisfies the predicate.
-/// Templated so the predicate inlines into the O(N) loop: the previous
-/// std::function form paid a virtual dispatch per basis state, once per
-/// Grover iteration. Prefer phase_flip_indices when the marked set is known
-/// explicitly — that path is O(m), not O(N).
-template <typename Pred>
-void phase_flip_if(std::span<Amplitude> state, Pred&& predicate) {
-  const auto n = static_cast<std::int64_t>(state.size());
-#ifdef PQS_HAVE_OPENMP
-#pragma omp parallel for schedule(static)
-#endif
-  for (std::int64_t i = 0; i < n; ++i) {
-    if (predicate(static_cast<Index>(i))) {
-      state[static_cast<std::size_t>(i)] = -state[static_cast<std::size_t>(i)];
-    }
-  }
-}
-
 /// Oracle fast path: flip the sign of exactly the listed basis states.
 /// `marked_sorted` must be sorted and unique. O(m) instead of O(N).
 void phase_flip_indices(std::span<Amplitude> state,
@@ -82,11 +60,6 @@ void reflect_blocks_about_uniform(std::span<Amplitude> state,
 /// block-uniform state. phi = pi reproduces reflect_blocks_about_uniform.
 void rotate_blocks_about_uniform(std::span<Amplitude> state,
                                  std::size_t block_size, double phi);
-
-/// Reflection about an arbitrary axis state: 2|axis><axis| - I.
-/// `axis` must be a unit vector of the same dimension as `state`.
-void reflect_about_state(std::span<Amplitude> state,
-                         std::span<const Amplitude> axis);
 
 /// Inversion about the average of the amplitudes at indices != t, leaving
 /// index t untouched. This is the Step-3 operation of the partial-search
@@ -139,30 +112,10 @@ void apply_controlled_gate1(SoaVector& v, unsigned n_qubits,
                             std::uint64_t control_mask, unsigned q,
                             const Gate2& g);
 void phase_flip_index(SoaVector& v, Index t);
-void phase_rotate_index(SoaVector& v, Index t, double phi);
 void phase_flip_indices(SoaVector& v, std::span<const Index> marked_sorted);
 void phase_rotate_indices(SoaVector& v, std::span<const Index> marked_sorted,
                           double phi);
 void phase_flip_mask_all_ones(SoaVector& v, std::uint64_t mask);
-
-/// Predicate-driven sign flip; the predicate inlines into the O(N) loop.
-template <typename Pred>
-void phase_flip_if(SoaVector& v, Pred&& predicate) {
-  double* re = v.re();
-  double* im = v.im();
-  const auto n = static_cast<std::int64_t>(v.size());
-#ifdef PQS_HAVE_OPENMP
-#pragma omp parallel for schedule(static)
-#endif
-  for (std::int64_t i = 0; i < n; ++i) {
-    if (predicate(static_cast<Index>(i))) {
-      const auto idx = static_cast<std::size_t>(i);
-      re[idx] = -re[idx];
-      im[idx] = -im[idx];
-    }
-  }
-  v.invalidate_sums();
-}
 
 void reflect_about_uniform(SoaVector& v);
 void reflect_blocks_about_uniform(SoaVector& v, std::size_t block_size);

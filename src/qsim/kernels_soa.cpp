@@ -242,11 +242,6 @@ void phase_flip_index(SoaVector& v, Index t) {
   phase_flip_indices(v, marked);
 }
 
-void phase_rotate_index(SoaVector& v, Index t, double phi) {
-  const Index marked[1] = {t};
-  phase_rotate_indices(v, marked, phi);
-}
-
 void phase_flip_indices(SoaVector& v, std::span<const Index> marked_sorted) {
   double* re = v.re();
   double* im = v.im();

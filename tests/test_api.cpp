@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <optional>
+#include <string>
 
 #include "api/algorithms/adapters.h"
 #include "classical/search.h"
@@ -93,35 +95,83 @@ TEST(SearchSpecTest, PredicateMaterializesTheMarkedSet) {
 
 // -- byte-for-byte equivalence against the direct module calls ------------
 
-TEST(EngineEquivalenceTest, Grover) {
-  SearchSpec spec = SearchSpec::single_target(256, 1, 77);
-  spec.algorithm = "grover";
-  spec.seed = kSeed;
-  const auto report = shared_engine().run(spec);
+constexpr qsim::BackendKind kEngines[] = {qsim::BackendKind::kDense,
+                                           qsim::BackendKind::kSymmetry};
 
-  const oracle::Database db(256, 77);
-  Rng rng(kSeed);
-  const auto direct = grover::search(db, rng);
-  EXPECT_EQ(report.measured, direct.measured);
-  EXPECT_EQ(report.correct, direct.correct);
-  EXPECT_EQ(report.queries, direct.queries);
-  EXPECT_DOUBLE_EQ(report.success_probability, direct.success_probability);
-  EXPECT_EQ(report.backend_used, direct.backend_used);
+TEST(EngineEquivalenceTest, Grover) {
+  for (const auto kind : kEngines) {
+    SCOPED_TRACE(qsim::to_string(kind));
+    SearchSpec spec = SearchSpec::single_target(256, 1, 77);
+    spec.algorithm = "grover";
+    spec.seed = kSeed;
+    spec.backend = kind;
+    const auto report = shared_engine().run(spec);
+
+    const oracle::Database db(256, 77);
+    Rng rng(kSeed);
+    const auto direct = grover::search(db, rng, {.backend = kind});
+    EXPECT_EQ(report.measured, direct.measured);
+    EXPECT_EQ(report.correct, direct.correct);
+    EXPECT_EQ(report.queries, direct.queries);
+    EXPECT_DOUBLE_EQ(report.success_probability, direct.success_probability);
+    EXPECT_EQ(report.backend_used, kind);
+    EXPECT_EQ(report.backend_used, direct.backend_used);
+  }
 }
 
 TEST(EngineEquivalenceTest, Exact) {
-  SearchSpec spec = SearchSpec::single_target(512, 1, 100);
-  spec.algorithm = "exact";
-  spec.seed = kSeed;
-  const auto report = shared_engine().run(spec);
+  for (const auto kind : kEngines) {
+    SCOPED_TRACE(qsim::to_string(kind));
+    SearchSpec spec = SearchSpec::single_target(512, 1, 100);
+    spec.algorithm = "exact";
+    spec.seed = kSeed;
+    spec.backend = kind;
+    const auto report = shared_engine().run(spec);
 
-  const oracle::Database db(512, 100);
-  Rng rng(kSeed);
-  const auto direct = grover::search_exact(db, rng);
-  EXPECT_EQ(report.measured, direct.measured);
-  EXPECT_EQ(report.queries, direct.queries);
-  EXPECT_DOUBLE_EQ(report.success_probability, direct.success_probability);
-  EXPECT_TRUE(report.correct);
+    const oracle::Database db(512, 100);
+    Rng rng(kSeed);
+    const auto direct = grover::search_exact(db, rng, {.backend = kind});
+    EXPECT_EQ(report.measured, direct.measured);
+    EXPECT_EQ(report.queries, direct.queries);
+    EXPECT_DOUBLE_EQ(report.success_probability, direct.success_probability);
+    EXPECT_EQ(report.backend_used, direct.backend_used);
+    EXPECT_TRUE(report.correct);
+  }
+}
+
+TEST(EngineEquivalenceTest, OneShotIsTheModulesDraw) {
+  // Short schedules leave the answer spread out, so `measured` follows
+  // the RNG draw: a one-shot report matches the module call only if the
+  // adapter consumes the request RNG exactly as the module does.
+  for (const auto kind : kEngines) {
+    SCOPED_TRACE(qsim::to_string(kind));
+    for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+      SearchSpec spec = SearchSpec::single_target(256, 4, 77);
+      spec.seed = seed;
+      spec.backend = kind;
+      spec.l1 = 1;
+      spec.l2 = 1;
+      spec.algorithm = "grover";
+      const auto grover_report = shared_engine().run(spec);
+      spec.algorithm = "grk";
+      const auto grk_report = shared_engine().run(spec);
+
+      const oracle::Database db(256, 77);
+      Rng grover_rng(seed);
+      EXPECT_EQ(grover_report.measured,
+                grover::search_with_iterations(db, 1, grover_rng,
+                                               {.backend = kind})
+                    .measured);
+      partial::GrkOptions options;
+      options.l1 = 1;
+      options.l2 = 1;
+      options.backend = kind;
+      Rng grk_rng(seed);
+      EXPECT_EQ(grk_report.measured,
+                partial::run_partial_search(db, 2, grk_rng, options)
+                    .measured_block);
+    }
+  }
 }
 
 TEST(EngineEquivalenceTest, Bbht) {
@@ -161,21 +211,28 @@ TEST(EngineEquivalenceTest, Ampamp) {
 }
 
 TEST(EngineEquivalenceTest, Grk) {
-  SearchSpec spec = SearchSpec::single_target(4096, 4, 2731);
-  spec.algorithm = "grk";
-  spec.seed = kSeed;
-  const auto report = shared_engine().run(spec);
+  for (const auto kind : kEngines) {
+    SCOPED_TRACE(qsim::to_string(kind));
+    SearchSpec spec = SearchSpec::single_target(4096, 4, 2731);
+    spec.algorithm = "grk";
+    spec.seed = kSeed;
+    spec.backend = kind;
+    const auto report = shared_engine().run(spec);
 
-  const oracle::Database db(4096, 2731);
-  Rng rng(kSeed);
-  const auto direct = partial::run_partial_search(db, 2, rng);
-  EXPECT_EQ(report.l1, direct.l1);
-  EXPECT_EQ(report.l2, direct.l2);
-  EXPECT_EQ(report.measured, direct.measured_block);
-  EXPECT_EQ(report.correct, direct.correct);
-  EXPECT_EQ(report.queries, direct.queries);
-  EXPECT_DOUBLE_EQ(report.success_probability, direct.block_probability);
-  EXPECT_TRUE(report.block_answer);
+    const oracle::Database db(4096, 2731);
+    Rng rng(kSeed);
+    partial::GrkOptions options;
+    options.backend = kind;
+    const auto direct = partial::run_partial_search(db, 2, rng, options);
+    EXPECT_EQ(report.l1, direct.l1);
+    EXPECT_EQ(report.l2, direct.l2);
+    EXPECT_EQ(report.measured, direct.measured_block);
+    EXPECT_EQ(report.correct, direct.correct);
+    EXPECT_EQ(report.queries, direct.queries);
+    EXPECT_DOUBLE_EQ(report.success_probability, direct.block_probability);
+    EXPECT_EQ(report.backend_used, direct.backend_used);
+    EXPECT_TRUE(report.block_answer);
+  }
 }
 
 TEST(EngineEquivalenceTest, Multi) {
@@ -225,16 +282,7 @@ TEST(EngineEquivalenceTest, Interleave) {
   auto backend = qsim::make_backend(
       qsim::BackendKind::kAuto,
       qsim::BackendSpec::single_target(1024, 4, 333));
-  for (const auto& segment : opt.schedule.segments) {
-    for (std::uint64_t i = 0; i < segment.count; ++i) {
-      backend->apply_oracle();
-      if (segment.global) {
-        backend->apply_global_diffusion();
-      } else {
-        backend->apply_block_diffusion();
-      }
-    }
-  }
+  EXPECT_EQ(partial::apply_schedule(*backend, opt.schedule) + 1, opt.queries);
   backend->apply_step3();
   Rng rng(kSeed);
   EXPECT_EQ(report.measured, backend->sample_block(rng));
@@ -371,15 +419,62 @@ TEST(EngineTest, NoisySpecRejectedOutsideTheNoisyAlgorithm) {
   EXPECT_THROW(shared_engine().run(spec), CheckFailure);
 }
 
-TEST(EngineTest, ShotsFanOutAndReportTheMode) {
-  SearchSpec spec = SearchSpec::single_target(4096, 4, 2731);
-  spec.algorithm = "grk";
+struct ShotsCase {
+  const char* algorithm;
+  SearchSpec spec;
+  /// The modal outcome (an address, or a block); unset where any marked
+  /// address may win, which `correct` already checks.
+  std::optional<qsim::Index> mode;
+};
+
+class ShotsTest : public ::testing::TestWithParam<ShotsCase> {};
+
+TEST_P(ShotsTest, ShotsFanOutAndReportTheMode) {
+  SearchSpec spec = GetParam().spec;
+  spec.algorithm = GetParam().algorithm;
   spec.seed = kSeed;
   spec.shots = 200;
   const auto report = shared_engine().run(spec);
   EXPECT_EQ(report.trials, 200u);
-  EXPECT_TRUE(report.correct);  // the mode is the target block at p ~ 0.94
-  EXPECT_EQ(report.measured, 2731u >> 10);
+  EXPECT_TRUE(report.correct);
+  if (GetParam().mode.has_value()) {
+    EXPECT_EQ(report.measured, *GetParam().mode);
+  }
+  EXPECT_EQ(report.detail.rfind("mode frequency ", 0), 0u) << report.detail;
+}
+
+SearchSpec ampamp_spec() {
+  SearchSpec spec;
+  spec.n_items = 256;
+  spec.marked = {7, 71, 135, 199};
+  return spec;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    EngineTest, ShotsTest,
+    ::testing::Values(
+        ShotsCase{"grover", SearchSpec::single_target(256, 1, 77), 77},
+        ShotsCase{"exact", SearchSpec::single_target(512, 1, 100), 100},
+        // the mode is the target block at p ~ 0.94
+        ShotsCase{"grk", SearchSpec::single_target(4096, 4, 2731),
+                  2731u >> 10},
+        ShotsCase{"ampamp", ampamp_spec(), std::nullopt},
+        ShotsCase{"twelve", SearchSpec::single_target(12, 3, 7), 7 / 4}),
+    [](const auto& info) { return std::string(info.param.algorithm); });
+
+TEST(EngineTest, TwelveShotsKeepTheShapeNote) {
+  // N = 16, K = 4 is not of the form N = 4K/(K-2): the report must say so
+  // after the mode frequency, which stays first for parsers.
+  SearchSpec spec = SearchSpec::single_target(16, 4, 5);
+  spec.algorithm = "twelve";
+  spec.seed = kSeed;
+  spec.shots = 50;
+  const auto report = shared_engine().run(spec);
+  EXPECT_EQ(report.trials, 50u);
+  EXPECT_EQ(report.detail.rfind("mode frequency ", 0), 0u) << report.detail;
+  EXPECT_NE(report.detail.find(" over 50 shots; shape is not N = 4K/(K-2)"),
+            std::string::npos)
+      << report.detail;
 }
 
 TEST(EngineTest, SymmetryBackendMatchesDenseProbabilities) {

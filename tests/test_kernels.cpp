@@ -102,31 +102,6 @@ TEST(Kernels, PhaseFlipIndexIsInvolutive) {
   }
 }
 
-TEST(Kernels, PhaseRotateIndexAtPiEqualsFlip) {
-  Rng rng(9);
-  auto a = random_state(3, rng);
-  auto b = a;
-  kernels::phase_flip_index(a, 2);
-  kernels::phase_rotate_index(b, 2, kPi);
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    EXPECT_LT(std::abs(a[i] - b[i]), 1e-12);
-  }
-}
-
-TEST(Kernels, PhaseFlipIfMatchesPredicate) {
-  Rng rng(11);
-  auto amps = random_state(4, rng);
-  const auto before = amps;
-  kernels::phase_flip_if(amps, [](Index x) { return x % 3 == 0; });
-  for (std::size_t i = 0; i < amps.size(); ++i) {
-    if (i % 3 == 0) {
-      EXPECT_LT(std::abs(amps[i] + before[i]), 1e-15);
-    } else {
-      EXPECT_LT(std::abs(amps[i] - before[i]), 1e-15);
-    }
-  }
-}
-
 TEST(Kernels, PhaseFlipMaskMatchesAllOnesOnly) {
   Rng rng(13);
   auto amps = random_state(3, rng);
@@ -226,24 +201,6 @@ TEST(Kernels, RotateBlocksPreservesNorm) {
   auto amps = random_state(5, rng);
   kernels::rotate_blocks_about_uniform(amps, 8, 1.234);
   EXPECT_NEAR(kernels::norm_squared(amps), 1.0, 1e-12);
-}
-
-TEST(Kernels, ReflectAboutStateMatchesUniformSpecialCase) {
-  Rng rng(41);
-  auto a = random_state(4, rng);
-  auto b = a;
-  std::vector<Amplitude> axis(16, Amplitude{0.25, 0.0});  // uniform, unit
-  kernels::reflect_about_uniform(a);
-  kernels::reflect_about_state(b, axis);
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    EXPECT_LT(std::abs(a[i] - b[i]), 1e-12);
-  }
-}
-
-TEST(Kernels, ReflectAboutStateRequiresUnitAxis) {
-  std::vector<Amplitude> amps(4, Amplitude{0.5, 0.0});
-  std::vector<Amplitude> axis(4, Amplitude{0.5, 0.5});  // norm 2
-  EXPECT_THROW(kernels::reflect_about_state(amps, axis), CheckFailure);
 }
 
 TEST(Kernels, NonTargetMeanReflectLeavesTargetUntouched) {
@@ -417,9 +374,6 @@ TEST_P(IsaSweep, PhaseKernelsMatchReference) {
   kernels::phase_rotate_indices(v, marked, 1.1);
   kernels::phase_flip_mask_all_ones(std::span<Amplitude>(ref), 0b10100);
   kernels::phase_flip_mask_all_ones(v, 0b10100);
-  const auto pred = [](Index x) { return x % 5 == 2; };
-  kernels::phase_flip_if(std::span<Amplitude>(ref), pred);
-  kernels::phase_flip_if(v, pred);
   kernels::scale(std::span<Amplitude>(ref), Amplitude{0.6, -0.8});
   kernels::scale(v, Amplitude{0.6, -0.8});
   expect_matches(v, ref);
