@@ -132,12 +132,7 @@ class DenseBackend final : public Backend {
     kernels::rotate_blocks_about_uniform(amps_, block_size(), phi);
   }
   void apply_step3() override {
-    if (spec_.marked.size() == 1) {
-      kernels::reflect_non_target_about_their_mean(amps_,
-                                                   spec_.marked.front());
-    } else {
-      kernels::reflect_unmarked_about_their_mean(amps_, spec_.marked);
-    }
+    kernels::reflect_unmarked_about_their_mean(amps_, spec_.marked);
   }
   void apply_global_phase(Amplitude phase) override {
     kernels::scale(amps_, phase);
@@ -167,7 +162,8 @@ class DenseBackend final : public Backend {
     kernels::apply_controlled_gate1(amps_, qubits(), control_mask, q, g);
   }
   void apply_phase_flip_known(Index x) override {
-    kernels::phase_flip_index(amps_, x);
+    const Index marked[1] = {x};
+    kernels::phase_flip_indices(amps_, marked);
   }
   void apply_mcz(std::uint64_t mask) override {
     kernels::phase_flip_mask_all_ones(amps_, mask);

@@ -121,15 +121,15 @@ Gate4 ISWAP() {
 
 namespace kernels {
 
-void apply_gate2(std::span<Amplitude> state, unsigned n_qubits,
-                 unsigned q_high, unsigned q_low, const Gate4& g) {
-  PQS_CHECK_MSG(state.size() == pow2(n_qubits), "state size mismatch");
+void apply_gate2(SoaVector& v, unsigned n_qubits, unsigned q_high,
+                 unsigned q_low, const Gate4& g) {
+  PQS_CHECK_MSG(v.size() == pow2(n_qubits), "state size mismatch");
   PQS_CHECK_MSG(q_high < n_qubits && q_low < n_qubits,
                 "qubit index out of range");
   PQS_CHECK_MSG(q_high != q_low, "two-qubit gate needs distinct qubits");
   const std::uint64_t bit_h = std::uint64_t{1} << q_high;
   const std::uint64_t bit_l = std::uint64_t{1} << q_low;
-  const auto n = static_cast<std::int64_t>(state.size());
+  const auto n = static_cast<std::int64_t>(v.size());
 
 #ifdef PQS_HAVE_OPENMP
 #pragma omp parallel for schedule(static)
@@ -139,21 +139,15 @@ void apply_gate2(std::span<Amplitude> state, unsigned n_qubits,
     if ((x & bit_h) != 0 || (x & bit_l) != 0) {
       continue;  // handle each 4-tuple once, from its 00 member
     }
-    const std::size_t i00 = x;
-    const std::size_t i01 = x | bit_l;
-    const std::size_t i10 = x | bit_h;
-    const std::size_t i11 = x | bit_h | bit_l;
-    const Amplitude a00 = state[i00], a01 = state[i01], a10 = state[i10],
-                    a11 = state[i11];
-    state[i00] = g.m[0][0] * a00 + g.m[0][1] * a01 + g.m[0][2] * a10 +
-                 g.m[0][3] * a11;
-    state[i01] = g.m[1][0] * a00 + g.m[1][1] * a01 + g.m[1][2] * a10 +
-                 g.m[1][3] * a11;
-    state[i10] = g.m[2][0] * a00 + g.m[2][1] * a01 + g.m[2][2] * a10 +
-                 g.m[2][3] * a11;
-    state[i11] = g.m[3][0] * a00 + g.m[3][1] * a01 + g.m[3][2] * a10 +
-                 g.m[3][3] * a11;
+    const std::size_t idx[4] = {x, x | bit_l, x | bit_h, x | bit_h | bit_l};
+    const Amplitude a[4] = {v.get(idx[0]), v.get(idx[1]), v.get(idx[2]),
+                            v.get(idx[3])};
+    for (std::size_t r = 0; r < 4; ++r) {
+      v.set(idx[r], g.m[r][0] * a[0] + g.m[r][1] * a[1] + g.m[r][2] * a[2] +
+                        g.m[r][3] * a[3]);
+    }
   }
+  v.invalidate_sums();
 }
 
 }  // namespace kernels

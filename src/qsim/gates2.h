@@ -7,10 +7,10 @@
 #pragma once
 
 #include <array>
-#include <span>
 #include <string>
 
 #include "qsim/gates.h"
+#include "qsim/soa.h"
 #include "qsim/types.h"
 
 namespace pqs::qsim {
@@ -48,11 +48,11 @@ Gate4 ISWAP();
 
 namespace kernels {
 
-/// Apply a 4x4 unitary to qubits (q_high, q_low) of an n-qubit state.
-/// q_high and q_low are arbitrary distinct qubit indices; the gate's basis
-/// convention is |q_high q_low>.
-void apply_gate2(std::span<Amplitude> state, unsigned n_qubits,
-                 unsigned q_high, unsigned q_low, const Gate4& g);
+/// Apply a 4x4 unitary to qubits (q_high, q_low) of an n-qubit state, in
+/// place. q_high and q_low are arbitrary distinct qubit indices; the gate's
+/// basis convention is |q_high q_low>. Invalidates the block-sum cache.
+void apply_gate2(SoaVector& v, unsigned n_qubits, unsigned q_high,
+                 unsigned q_low, const Gate4& g);
 
 }  // namespace kernels
 

@@ -116,10 +116,12 @@ Isa active_isa() {
   if (forced >= 0) {
     return static_cast<Isa>(forced);
   }
-  // PQS_ISA is re-read on every call so a test harness that sets it before
-  // spawning each child process sees the expected tier; the getenv cost is
-  // noise next to the O(N) work each dispatch guards.
-  return env_or_best_isa();
+  // PQS_ISA is read once per process: every kernel dispatch lands here, and
+  // a harness that sets it before spawning a child still reaches the child,
+  // which starts with fresh statics. A bad value throws on every call (a
+  // throwing initializer leaves the static uninitialized).
+  static const Isa env_isa = env_or_best_isa();
+  return env_isa;
 }
 
 void force_isa(std::optional<Isa> isa) {

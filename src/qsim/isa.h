@@ -44,7 +44,8 @@ std::vector<Isa> supported_isas();
 
 /// The tier the SoA kernels dispatch to right now:
 /// force_isa() override > PQS_ISA environment variable > best_supported.
-/// Checked: a PQS_ISA naming an unsupported tier throws on first use.
+/// PQS_ISA is read once per process. Checked: a PQS_ISA naming an
+/// unsupported tier throws on every use.
 Isa active_isa();
 
 /// In-process override for tests/benches; std::nullopt restores the

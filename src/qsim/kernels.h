@@ -1,10 +1,22 @@
-// O(N) state-vector kernels. These are the hot loops; everything else in the
-// simulator is bookkeeping around them. All kernels are OpenMP-parallel when
-// built with PQS_HAVE_OPENMP.
+// O(N) state-vector kernels on SoaVector's separated re/im planes. These are
+// the hot loops; everything else in the simulator is bookkeeping around
+// them, and DenseBackend runs every dense operation through them. Each O(N)
+// loop dispatches through the active ISA tier (qsim/isa.h: scalar,
+// AVX2+FMA, AVX-512F) and is OpenMP-parallel when built with
+// PQS_HAVE_OPENMP.
 //
 // The two reflection kernels are the work-horses of the paper:
-//   reflect_about_uniform      = I0        = 2|psi0><psi0| - I
+//   reflect_about_uniform        = I0        = 2|psi0><psi0| - I
 //   reflect_blocks_about_uniform = I_[K] (x) I0,[N/K]   (Section 2.2)
+// They and rotate_blocks_about_uniform maintain SoaVector's block-sum cache,
+// so back-to-back same-partition reflections skip their sum pass (one
+// memory sweep per kernel instead of two).
+//
+// All block means and reductions use deterministic fixed-chunk pairwise
+// summation (chunk partials combined pairwise), so results are independent
+// of the OpenMP thread count and of the tier to well under the 1e-10
+// dense≡symmetry agreement bar. tests/test_kernels.cpp checks every tier
+// against plain sequential loops.
 #pragma once
 
 #include <cstdint>
@@ -17,111 +29,49 @@
 namespace pqs::qsim::kernels {
 
 /// Apply a 2x2 unitary to qubit `q` (bit q of the index) of an n-qubit state.
-void apply_gate1(std::span<Amplitude> state, unsigned n_qubits, unsigned q,
-                 const Gate2& g);
+void apply_gate1(SoaVector& v, unsigned n_qubits, unsigned q, const Gate2& g);
 
 /// Apply the gate to qubit `q` only on basis states where every control bit in
 /// `control_mask` is 1. `control_mask` must not contain bit q.
-void apply_controlled_gate1(std::span<Amplitude> state, unsigned n_qubits,
+void apply_controlled_gate1(SoaVector& v, unsigned n_qubits,
                             std::uint64_t control_mask, unsigned q,
                             const Gate2& g);
 
-/// Multiply the amplitude of the single basis state `t` by -1.
-/// This is the selective inversion I_t = I - 2|t><t| of the paper.
-void phase_flip_index(std::span<Amplitude> state, Index t);
-
-/// Oracle fast path: flip the sign of exactly the listed basis states.
+/// Oracle fast path: flip the sign of exactly the listed basis states (the
+/// selective inversion I_t = I - 2|t><t| of the paper, one t per entry).
 /// `marked_sorted` must be sorted and unique. O(m) instead of O(N).
-void phase_flip_indices(std::span<Amplitude> state,
-                        std::span<const Index> marked_sorted);
+void phase_flip_indices(SoaVector& v, std::span<const Index> marked_sorted);
 
 /// Generalized oracle fast path: multiply the listed basis states by
 /// e^{i phi}. `marked_sorted` must be sorted and unique. O(m).
-void phase_rotate_indices(std::span<Amplitude> state,
-                          std::span<const Index> marked_sorted, double phi);
+void phase_rotate_indices(SoaVector& v, std::span<const Index> marked_sorted,
+                          double phi);
 
 /// Multiply by -1 every amplitude whose index has all bits of `mask` set
 /// (a multi-controlled Z on the qubits in `mask`).
-void phase_flip_mask_all_ones(std::span<Amplitude> state, std::uint64_t mask);
+void phase_flip_mask_all_ones(SoaVector& v, std::uint64_t mask);
 
 /// In-place I0 = 2|psi0><psi0| - I where |psi0> is the uniform superposition:
 /// a_x <- 2*mean(a) - a_x. ("Inversion about the average".)
-void reflect_about_uniform(std::span<Amplitude> state);
+void reflect_about_uniform(SoaVector& v);
 
 /// In-place I_[K] (x) I0,[N/K]: inversion about the average within each
 /// contiguous block of `block_size` amplitudes. `block_size` must divide the
-/// state size. With block_size == state.size() this is reflect_about_uniform.
-void reflect_blocks_about_uniform(std::span<Amplitude> state,
-                                  std::size_t block_size);
+/// state size. With block_size == size() this is reflect_about_uniform.
+void reflect_blocks_about_uniform(SoaVector& v, std::size_t block_size);
 
 /// Generalized per-block operator used by the sure-success variants:
 /// within each block, a <- a + (e^{i phi} - 1) * mean(a) * ones, i.e. the
 /// phase-rotation 2|u><u| pattern  I + (e^{i phi} - 1)|u><u| with u the
-/// block-uniform state. phi = pi reproduces reflect_blocks_about_uniform.
-void rotate_blocks_about_uniform(std::span<Amplitude> state,
-                                 std::size_t block_size, double phi);
-
-/// Inversion about the average of the amplitudes at indices != t, leaving
-/// index t untouched. This is the Step-3 operation of the partial-search
-/// algorithm ("controlled on b = 0, invert about the average").
-void reflect_non_target_about_their_mean(std::span<Amplitude> state, Index t);
-
-/// Multi-marked generalization of the Step-3 reflection: every index in
-/// `marked_sorted` (sorted, unique) keeps its amplitude; the rest are
-/// inverted about their common mean. One oracle query marks the whole set.
-void reflect_unmarked_about_their_mean(std::span<Amplitude> state,
-                                       std::span<const Index> marked_sorted);
-
-/// Pairwise (cascade) summation of amplitudes / of probability mass:
-/// rounding error O(log N) ulps instead of the O(N) of a sequential loop.
-/// The reflection kernels' means go through these so that thousands of
-/// iterations at N = 2^20+ still match the O(K) symmetry backend to 1e-10.
-Amplitude sum_pairwise(std::span<const Amplitude> state);
-double norm_squared_pairwise(std::span<const Amplitude> state);
-
-/// <a|b>.
-Amplitude inner_product(std::span<const Amplitude> a,
-                        std::span<const Amplitude> b);
-
-/// sum |a_x|^2.
-double norm_squared(std::span<const Amplitude> state);
-
-/// Multiply every amplitude by s.
-void scale(std::span<Amplitude> state, Amplitude s);
-
-// ---------------------------------------------------------------------------
-// SoA kernels (ISA-dispatched) — the production path.
-//
-// These mirror the span kernels above on SoaVector's separated re/im planes
-// and are what DenseBackend actually runs. Each O(N) loop
-// dispatches through the active ISA tier (qsim/isa.h: scalar, AVX2+FMA,
-// AVX-512F) and the reflection/rotation kernels maintain SoaVector's
-// block-sum cache so back-to-back same-partition reflections skip their sum
-// pass (one memory sweep per kernel instead of two). The span kernels above
-// remain the scalar reference implementations the equivalence tests compare
-// against — keep both in sync when changing semantics.
-//
-// All block means and reductions use deterministic fixed-chunk pairwise
-// summation (chunk partials combined pairwise), so results are independent
-// of the OpenMP thread count and match the span kernels' recursive pairwise
-// sums to well under the 1e-10 dense≡symmetry agreement bar.
-// ---------------------------------------------------------------------------
-
-void apply_gate1(SoaVector& v, unsigned n_qubits, unsigned q, const Gate2& g);
-void apply_controlled_gate1(SoaVector& v, unsigned n_qubits,
-                            std::uint64_t control_mask, unsigned q,
-                            const Gate2& g);
-void phase_flip_index(SoaVector& v, Index t);
-void phase_flip_indices(SoaVector& v, std::span<const Index> marked_sorted);
-void phase_rotate_indices(SoaVector& v, std::span<const Index> marked_sorted,
-                          double phi);
-void phase_flip_mask_all_ones(SoaVector& v, std::uint64_t mask);
-
-void reflect_about_uniform(SoaVector& v);
-void reflect_blocks_about_uniform(SoaVector& v, std::size_t block_size);
+/// block-uniform state. phi = pi reproduces -reflect_blocks_about_uniform.
 void rotate_blocks_about_uniform(SoaVector& v, std::size_t block_size,
                                  double phi);
-void reflect_non_target_about_their_mean(SoaVector& v, Index t);
+
+/// The Step-3 operation of the partial-search algorithm ("controlled on
+/// b = 0, invert about the average"), for one or many marked states: every
+/// index in `marked_sorted` (sorted, unique) keeps its amplitude; the rest
+/// are inverted about their common mean. One oracle query marks the whole
+/// set.
 void reflect_unmarked_about_their_mean(SoaVector& v,
                                        std::span<const Index> marked_sorted);
 
@@ -132,7 +82,9 @@ Amplitude sum_all(const SoaVector& v);
 double norm_squared_range(const SoaVector& v, std::size_t lo,
                           std::size_t len);
 double norm_squared(const SoaVector& v);
+/// <a|b>.
 Amplitude inner_product(const SoaVector& a, const SoaVector& b);
+/// Multiply every amplitude by s.
 void scale(SoaVector& v, Amplitude s);
 
 }  // namespace pqs::qsim::kernels

@@ -5,15 +5,13 @@
 // Determinism contract: every mean/reduction is a fixed-chunk pairwise sum —
 // segments of kChunk elements are reduced by the tier primitive and the
 // per-chunk partials are combined pairwise — so results do not depend on the
-// OpenMP thread count and stay within ulps of the span kernels' recursive
-// pairwise sums.
+// OpenMP thread count and stay within ulps of a plain sequential sum.
 //
 // Cache contract: the reflect/rotate update passes accumulate the sums of
 // the values they store and refresh SoaVector's block-sum cache from them,
 // so the cache is always recomputed from stored data once per kernel call
 // (incremental oracle deltas never survive more than one iteration — no
-// drift accumulation). The scalar tier maintains the cache but never READS
-// it: it stays the two-pass reference the equivalence tests trust.
+// drift accumulation). Every tier reads and maintains the cache alike.
 #include <cmath>
 #include <vector>
 
@@ -90,15 +88,14 @@ void sum_range(const double* re, const double* im, std::size_t lo,
   *out_im = combine_pairwise(pi.data(), nc);
 }
 
-/// Per-block sums for partition `bs`, from the cache when the active tier
-/// may use it, recomputed otherwise. Writes size()/bs entries.
+/// Per-block sums for partition `bs`, from the cache when it is valid,
+/// recomputed otherwise. Writes size()/bs entries.
 void block_sums(const SoaVector& v, std::size_t bs, const KernelOps& ops,
-                bool may_use_cache, std::vector<double>& sr,
-                std::vector<double>& si) {
+                std::vector<double>& sr, std::vector<double>& si) {
   const std::size_t nb = v.size() / bs;
   sr.resize(nb);
   si.resize(nb);
-  if (may_use_cache && v.sums_valid(bs)) {
+  if (v.sums_valid(bs)) {
     sr = v.sum_re();
     si = v.sum_im();
     return;
@@ -237,11 +234,6 @@ void apply_controlled_gate1(SoaVector& v, unsigned n_qubits,
   v.invalidate_sums();
 }
 
-void phase_flip_index(SoaVector& v, Index t) {
-  const Index marked[1] = {t};
-  phase_flip_indices(v, marked);
-}
-
 void phase_flip_indices(SoaVector& v, std::span<const Index> marked_sorted) {
   double* re = v.re();
   double* im = v.im();
@@ -307,11 +299,9 @@ void reflect_blocks_about_uniform(SoaVector& v, std::size_t block_size) {
   PQS_CHECK(block_size > 0);
   PQS_CHECK_MSG(v.size() % block_size == 0,
                 "block size must divide the state size");
-  const Isa isa = active_isa();
-  const KernelOps& ops = kernel_ops(isa);
+  const KernelOps& ops = active_kernel_ops();
   std::vector<double> sr, si;
-  block_sums(v, block_size, ops, /*may_use_cache=*/isa != Isa::kScalar, sr,
-             si);
+  block_sums(v, block_size, ops, sr, si);
   const double inv = 2.0 / static_cast<double>(block_size);
   for (double& s : sr) {
     s *= inv;  // twice the block mean
@@ -327,11 +317,9 @@ void rotate_blocks_about_uniform(SoaVector& v, std::size_t block_size,
   PQS_CHECK(block_size > 0);
   PQS_CHECK_MSG(v.size() % block_size == 0,
                 "block size must divide the state size");
-  const Isa isa = active_isa();
-  const KernelOps& ops = kernel_ops(isa);
+  const KernelOps& ops = active_kernel_ops();
   std::vector<double> sr, si;
-  block_sums(v, block_size, ops, /*may_use_cache=*/isa != Isa::kScalar, sr,
-             si);
+  block_sums(v, block_size, ops, sr, si);
   const Amplitude factor =
       (std::polar(1.0, phi) - 1.0) / static_cast<double>(block_size);
   for (std::size_t b = 0; b < sr.size(); ++b) {
@@ -340,13 +328,6 @@ void rotate_blocks_about_uniform(SoaVector& v, std::size_t block_size,
     si[b] = add.imag();
   }
   block_update(v, block_size, ops, /*is_reflect=*/false, sr, si);
-}
-
-void reflect_non_target_about_their_mean(SoaVector& v, Index t) {
-  PQS_CHECK_MSG(t < v.size(), "target index out of range");
-  PQS_CHECK_MSG(v.size() >= 2, "need at least two basis states");
-  const Index marked[1] = {t};
-  reflect_unmarked_about_their_mean(v, marked);
 }
 
 void reflect_unmarked_about_their_mean(SoaVector& v,
@@ -391,14 +372,13 @@ void reflect_unmarked_about_their_mean(SoaVector& v,
 }
 
 Amplitude sum_all(const SoaVector& v) {
-  const Isa isa = active_isa();
-  if (isa != Isa::kScalar && v.sum_block_size() != 0) {
+  if (v.sum_block_size() != 0) {
     const std::size_t nb = v.sum_re().size();
     return Amplitude{combine_pairwise(v.sum_re().data(), nb),
                      combine_pairwise(v.sum_im().data(), nb)};
   }
   double sr = 0.0, si = 0.0;
-  sum_range(v.re(), v.im(), 0, v.size(), kernel_ops(isa), &sr, &si);
+  sum_range(v.re(), v.im(), 0, v.size(), active_kernel_ops(), &sr, &si);
   return Amplitude{sr, si};
 }
 

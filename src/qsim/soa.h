@@ -10,7 +10,7 @@
 // The sum cache is what makes the SoA engine faster than memory bandwidth
 // naively allows: reflect/rotate kernels accumulate the sums of the values
 // they store, so the next same-partition reflection skips its read pass
-// entirely (see qsim/kernels.h, "SoA kernels").
+// entirely (see qsim/kernels.h).
 #pragma once
 
 #include <algorithm>

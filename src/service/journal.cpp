@@ -49,9 +49,15 @@ Journal::Journal(std::string path, JournalSync sync, std::uint64_t first_id)
   const RecoveredJournal existing = recover_file(path_);
   LockGuard lock(mutex_);
   next_id_ = std::max(existing.max_id + 1, first_id);
-  fd_ = ::open(path_.c_str(), O_WRONLY | O_CREAT | O_APPEND | O_CLOEXEC, 0644);
+  fd_ = ::open(path_.c_str(), O_RDWR | O_CREAT | O_APPEND | O_CLOEXEC, 0644);
   PQS_CHECK_MSG(fd_ >= 0, "Journal: cannot open \"" + path_ +
                               "\" for appending: " + std::strerror(errno));
+  // History that ends in a torn record (a crash mid-write) gets the same
+  // treatment as a failed append: the first new record starts a fresh line.
+  const off_t size = ::lseek(fd_, 0, SEEK_END);
+  char last = '\n';
+  torn_tail_ = size > 0 && ::pread(fd_, &last, 1, size - 1) == 1 &&
+               last != '\n';
 }
 
 Journal::~Journal() {
@@ -66,7 +72,11 @@ void Journal::append_line(const std::string& line) {
   // to position, and a single syscall means process death either lands the
   // whole record or (on a kernel/power failure mid-flush) leaves a torn
   // tail that recovery skips. No userspace buffering, ever.
-  std::string framed = line;
+  std::string framed;
+  if (torn_tail_) {
+    framed.push_back('\n');  // never glue a record onto a torn fragment
+  }
+  framed += line;
   framed.push_back('\n');
   std::size_t written = 0;
   while (written < framed.size()) {
@@ -76,11 +86,24 @@ void Journal::append_line(const std::string& line) {
       if (errno == EINTR) {
         continue;
       }
+      const int write_errno = errno;
+      if (written > 0) {
+        // A failed record must leave nothing a later record can attach to
+        // (that record would be unreadable, and it may already be acked).
+        // Cut the fragment off; if even that fails, start the next record
+        // on a fresh line so only this failed one is lost.
+        const off_t end = ::lseek(fd_, 0, SEEK_END);
+        const bool cut =
+            end >= static_cast<off_t>(written) &&
+            ::ftruncate(fd_, end - static_cast<off_t>(written)) == 0;
+        torn_tail_ = torn_tail_ || !cut;
+      }
       throw CheckFailure("Journal: write to \"" + path_ +
-                         "\" failed: " + std::strerror(errno));
+                         "\" failed: " + std::strerror(write_errno));
     }
     written += static_cast<std::size_t>(n);
   }
+  torn_tail_ = false;
   if (sync_ == JournalSync::kAlways) {
     PQS_CHECK_MSG(::fsync(fd_) == 0, "Journal: fsync of \"" + path_ +
                                          "\" failed: " + std::strerror(errno));

@@ -181,6 +181,9 @@ class Journal {
   mutable Mutex mutex_;
   int fd_ PQS_GUARDED_BY(mutex_) = -1;
   std::uint64_t next_id_ PQS_GUARDED_BY(mutex_) = 1;
+  /// The file may end in a fragment with no newline; the next append
+  /// starts with one.
+  bool torn_tail_ PQS_GUARDED_BY(mutex_) = false;
   Stopwatch opened_at_;  ///< t_ns origin; written once at construction
 };
 

@@ -12,14 +12,28 @@
 namespace pqs::qsim {
 namespace {
 
-std::vector<Amplitude> random_amps(unsigned n_qubits, Rng& rng) {
-  std::vector<Amplitude> amps(pow2(n_qubits));
-  for (auto& a : amps) {
-    a = Amplitude{rng.normal(), rng.normal()};
+SoaVector random_amps(unsigned n_qubits, Rng& rng) {
+  SoaVector v(pow2(n_qubits));
+  for (std::size_t i = 0; i < v.size(); ++i) {
+    v.set(i, Amplitude{rng.normal(), rng.normal()});
   }
-  const double norm = std::sqrt(kernels::norm_squared(amps));
-  kernels::scale(amps, Amplitude{1.0 / norm, 0.0});
-  return amps;
+  const double norm = std::sqrt(kernels::norm_squared(v));
+  kernels::scale(v, Amplitude{1.0 / norm, 0.0});
+  return v;
+}
+
+/// |x> in a state of `size` amplitudes.
+SoaVector basis(std::size_t size, std::size_t x) {
+  SoaVector v(size);
+  v.set(x, Amplitude{1.0, 0.0});
+  return v;
+}
+
+void expect_equal_states(const SoaVector& a, const SoaVector& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    ASSERT_LT(std::abs(a.get(i) - b.get(i)), 1e-12) << i;
+  }
 }
 
 class NamedGate4Test : public ::testing::TestWithParam<Gate4> {};
@@ -45,15 +59,13 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(Gate4, CnotTruthTable) {
   // |10> -> |11>, |11> -> |10>, |0x> fixed (high qubit is the control).
-  std::vector<Amplitude> amps(4, Amplitude{0.0, 0.0});
-  amps[2] = 1.0;  // |10>: control (qubit 1) set
-  kernels::apply_gate2(amps, 2, /*q_high=*/1, /*q_low=*/0, gates::CNOT());
-  EXPECT_NEAR(std::abs(amps[3]), 1.0, 1e-12);
+  SoaVector v = basis(4, 2);  // |10>: control (qubit 1) set
+  kernels::apply_gate2(v, 2, /*q_high=*/1, /*q_low=*/0, gates::CNOT());
+  EXPECT_NEAR(std::abs(v.get(3)), 1.0, 1e-12);
 
-  std::fill(amps.begin(), amps.end(), Amplitude{0.0, 0.0});
-  amps[1] = 1.0;  // |01>: control clear
-  kernels::apply_gate2(amps, 2, 1, 0, gates::CNOT());
-  EXPECT_NEAR(std::abs(amps[1]), 1.0, 1e-12);
+  v = basis(4, 1);  // |01>: control clear
+  kernels::apply_gate2(v, 2, 1, 0, gates::CNOT());
+  EXPECT_NEAR(std::abs(v.get(1)), 1.0, 1e-12);
 }
 
 TEST(Gate4, CnotMatchesControlledGate1Kernel) {
@@ -63,9 +75,7 @@ TEST(Gate4, CnotMatchesControlledGate1Kernel) {
   kernels::apply_gate2(a, 5, /*q_high=*/3, /*q_low=*/1, gates::CNOT());
   kernels::apply_controlled_gate1(b, 5, /*control_mask=*/1u << 3, 1,
                                   gates::X());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    ASSERT_LT(std::abs(a[i] - b[i]), 1e-12) << i;
-  }
+  expect_equal_states(a, b);
 }
 
 TEST(Gate4, CzIsSymmetricInItsQubits) {
@@ -74,16 +84,13 @@ TEST(Gate4, CzIsSymmetricInItsQubits) {
   auto b = a;
   kernels::apply_gate2(a, 4, 2, 0, gates::CZ());
   kernels::apply_gate2(b, 4, 0, 2, gates::CZ());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    ASSERT_LT(std::abs(a[i] - b[i]), 1e-12);
-  }
+  expect_equal_states(a, b);
 }
 
 TEST(Gate4, SwapExchangesQubitValues) {
-  std::vector<Amplitude> amps(8, Amplitude{0.0, 0.0});
-  amps[0b001] = 1.0;
-  kernels::apply_gate2(amps, 3, /*q_high=*/2, /*q_low=*/0, gates::SWAP());
-  EXPECT_NEAR(std::abs(amps[0b100]), 1.0, 1e-12);
+  SoaVector v = basis(8, 0b001);
+  kernels::apply_gate2(v, 3, /*q_high=*/2, /*q_low=*/0, gates::SWAP());
+  EXPECT_NEAR(std::abs(v.get(0b100)), 1.0, 1e-12);
 }
 
 TEST(Gate4, SwapEqualsThreeCnots) {
@@ -94,9 +101,7 @@ TEST(Gate4, SwapEqualsThreeCnots) {
   kernels::apply_gate2(b, 4, 3, 1, gates::CNOT());
   kernels::apply_gate2(b, 4, 1, 3, gates::CNOT());
   kernels::apply_gate2(b, 4, 3, 1, gates::CNOT());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    ASSERT_LT(std::abs(a[i] - b[i]), 1e-12);
-  }
+  expect_equal_states(a, b);
 }
 
 TEST(Gate4, CPhaseAtPiIsCz) {
@@ -110,9 +115,26 @@ TEST(Gate4, TensorActsIndependently) {
   kernels::apply_gate2(a, 4, 3, 0, gates::tensor(gates::H(), gates::T()));
   kernels::apply_gate1(b, 4, 3, gates::H());
   kernels::apply_gate1(b, 4, 0, gates::T());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    ASSERT_LT(std::abs(a[i] - b[i]), 1e-12);
+  expect_equal_states(a, b);
+}
+
+TEST(Gate4, InvalidatesTheBlockSumCache) {
+  // A reflection leaves the block-sum cache valid; the gate changes the
+  // block sums, so the next reflection must recompute them.
+  Rng rng(21);
+  auto a = random_amps(4, rng);
+  auto b = a;
+  const Gate4 g = gates::tensor(gates::H(), gates::T());
+  for (SoaVector* v : {&a, &b}) {
+    kernels::reflect_blocks_about_uniform(*v, 4);
   }
+  kernels::apply_gate2(a, 4, 3, 0, g);
+  kernels::apply_gate1(b, 4, 3, gates::H());
+  kernels::apply_gate1(b, 4, 0, gates::T());
+  for (SoaVector* v : {&a, &b}) {
+    kernels::reflect_blocks_about_uniform(*v, 4);
+  }
+  expect_equal_states(a, b);
 }
 
 TEST(Gate4, HadamardSandwichTurnsCnotIntoCz) {
@@ -124,9 +146,7 @@ TEST(Gate4, HadamardSandwichTurnsCnotIntoCz) {
   kernels::apply_gate1(b, 3, 1, gates::H());
   kernels::apply_gate2(b, 3, 2, 1, gates::CZ());
   kernels::apply_gate1(b, 3, 1, gates::H());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    ASSERT_LT(std::abs(a[i] - b[i]), 1e-12);
-  }
+  expect_equal_states(a, b);
 }
 
 TEST(Gate4, PreservesNormOnRandomStates) {
@@ -143,12 +163,12 @@ TEST(Gate4, ComposeAndAdjointRoundTrip) {
 }
 
 TEST(Gate4, KernelValidatesArguments) {
-  std::vector<Amplitude> amps(8);
-  EXPECT_THROW(kernels::apply_gate2(amps, 3, 1, 1, gates::CZ()),
+  SoaVector v(8);
+  EXPECT_THROW(kernels::apply_gate2(v, 3, 1, 1, gates::CZ()),
                CheckFailure);
-  EXPECT_THROW(kernels::apply_gate2(amps, 3, 3, 0, gates::CZ()),
+  EXPECT_THROW(kernels::apply_gate2(v, 3, 3, 0, gates::CZ()),
                CheckFailure);
-  EXPECT_THROW(kernels::apply_gate2(amps, 2, 1, 0, gates::CZ()),
+  EXPECT_THROW(kernels::apply_gate2(v, 2, 1, 0, gates::CZ()),
                CheckFailure);
 }
 

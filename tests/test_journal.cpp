@@ -334,6 +334,74 @@ TEST(JournalRecoveryTest, RecordIdsContinueAcrossReopen) {
   EXPECT_EQ(Journal::recover_file(dir.wal()).max_id, 2u);
 }
 
+TEST(JournalRecoveryTest, ReopenAfterATornTailStartsAFreshLine) {
+  TempDir dir;
+  {
+    std::ofstream torn(dir.wal());
+    torn << R"({"id":1,"journal":"acc)";  // a crash mid-write, no newline
+  }
+  {
+    Journal journal(dir.wal(), JournalSync::kNone);
+    EXPECT_EQ(journal.append_accepted(test_spec("grover", 2), 0), 1u);
+  }
+  const RecoveredJournal recovered = Journal::recover_file(dir.wal());
+  EXPECT_EQ(recovered.warnings.size(), 1u);  // only the torn fragment
+  ASSERT_EQ(recovered.pending.size(), 1u);
+  EXPECT_EQ(spec_dump(recovered.pending[0].spec),
+            spec_dump(test_spec("grover", 2)));
+}
+
+TEST(JournalRecoveryTest, RecordAfterAFailedAppendIsRecovered) {
+  // A write that lands part of a record and then fails (here: the
+  // file-size limit) must leave nothing the next record can attach to:
+  // glued onto a fragment, that record would be unreadable although it may
+  // already be acked. The limit is per process, so the appends run in a
+  // forked child that ignores SIGXFSZ (the write then fails with EFBIG
+  // instead of killing it).
+  TempDir dir;
+  const pid_t pid = ::fork();
+  ASSERT_GE(pid, 0);
+  if (pid == 0) {
+    int code = 0;
+    try {
+      ::signal(SIGXFSZ, SIG_IGN);
+      Journal journal(dir.wal(), JournalSync::kNone);
+      journal.append_accepted(test_spec("grover", 1), 0);
+      rlimit saved{};
+      PQS_CHECK(::getrlimit(RLIMIT_FSIZE, &saved) == 0);
+      rlimit lowered = saved;
+      lowered.rlim_cur = std::filesystem::file_size(dir.wal()) + 16;
+      PQS_CHECK(::setrlimit(RLIMIT_FSIZE, &lowered) == 0);
+      bool threw = false;
+      try {
+        journal.append_accepted(test_spec("grover", 2), 0);  // 16 bytes land
+      } catch (const CheckFailure&) {
+        threw = true;
+      }
+      PQS_CHECK(::setrlimit(RLIMIT_FSIZE, &saved) == 0);
+      journal.append_accepted(test_spec("grover", 3), 0);
+      code = threw ? 0 : 1;
+    } catch (...) {
+      code = 2;
+    }
+    ::_exit(code);
+  }
+  int status = 0;
+  ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+  ASSERT_TRUE(WIFEXITED(status));
+  ASSERT_EQ(WEXITSTATUS(status), 0)
+      << "1: the over-limit append did not throw; 2: another step threw";
+
+  const RecoveredJournal recovered = Journal::recover_file(dir.wal());
+  EXPECT_EQ(recovered.accepted, 2u);
+  EXPECT_TRUE(recovered.warnings.empty());  // no fragment left behind
+  ASSERT_EQ(recovered.pending.size(), 2u);  // the failed record is not one
+  EXPECT_EQ(recovered.pending[0].id, 1u);
+  EXPECT_EQ(recovered.pending[1].id, 3u);
+  EXPECT_EQ(spec_dump(recovered.pending[1].spec),
+            spec_dump(test_spec("grover", 3)));
+}
+
 // ---- Service wiring --------------------------------------------------------
 
 TEST(ServiceJournalTest, LifecycleWritesAcceptedThenDoneMarker) {
@@ -992,6 +1060,45 @@ TEST(CrashRecoveryTest, MarkerWriteFailuresAreCountedInMetrics) {
   EXPECT_EQ(counters.at("journal.completed_appends").as_uint(), 0u);
   // At-least-once: with no marker on disk the job stays pending.
   EXPECT_EQ(Journal::recover_file(dir.wal()).pending.size(), 1u);
+}
+
+TEST(CrashRecoveryTest, AcceptAppendFailureAnswersAnErrorAndNeverAcks) {
+  // The journal may not even hold one accepted record, so the first
+  // accept append fails with EFBIG. An ack promises a durable record: the
+  // client must get an error instead, and no work may start.
+  TempDir dir;
+  const Child child =
+      spawn({kServeBinary, "--journal", dir.wal(), "--threads", "1"},
+            {.file_size_limit = 16});
+  write_all_fd(child.in_fd, submit_line("grover", "job", 1) + "\n");
+  write_all_fd(child.in_fd, R"({"op":"metrics","id":"m"})" "\n");
+  ::close(child.in_fd);
+  std::vector<Json> events;
+  std::string carry;
+  std::string line;
+  while (read_line_fd(child.out_fd, carry, line)) {
+    events.push_back(Json::parse(line));
+  }
+  ::close(child.out_fd);
+  int status = 0;
+  ASSERT_EQ(::waitpid(child.pid, &status, 0), child.pid);
+  EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0);
+
+  ASSERT_EQ(events.size(), 2u);
+  EXPECT_EQ(events[0].at("event").as_string(), "error");
+  EXPECT_NE(events[0].at("message").as_string().find("Journal: write"),
+            std::string::npos)
+      << events[0].dump();
+  // Nothing but the error and the metrics answer: no `accepted`, and no
+  // `result` after it.
+  ASSERT_EQ(events[1].at("event").as_string(), "metrics");
+  const Json& counters = events[1].at("metrics").at("counters");
+  EXPECT_EQ(counters.at("service.submitted").as_uint(), 0u);
+  EXPECT_EQ(counters.at("journal.accepted_appends").as_uint(), 0u);
+
+  const RecoveredJournal recovered = Journal::recover_file(dir.wal());
+  EXPECT_EQ(recovered.accepted, 0u);
+  EXPECT_TRUE(recovered.warnings.empty());
 }
 
 }  // namespace

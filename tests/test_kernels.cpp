@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <vector>
 
@@ -14,274 +15,412 @@
 namespace pqs::qsim {
 namespace {
 
-std::vector<Amplitude> random_state(unsigned n_qubits, Rng& rng) {
-  std::vector<Amplitude> amps(pow2(n_qubits));
-  for (auto& a : amps) {
-    a = Amplitude{rng.normal(), rng.normal()};
+using Amps = std::vector<Amplitude>;
+
+/// A normalized random n-qubit state.
+SoaVector random_state(unsigned n_qubits, Rng& rng) {
+  SoaVector v(pow2(n_qubits));
+  for (std::size_t i = 0; i < v.size(); ++i) {
+    v.set(i, Amplitude{rng.normal(), rng.normal()});
   }
-  const double norm = std::sqrt(kernels::norm_squared(amps));
-  kernels::scale(amps, Amplitude{1.0 / norm, 0.0});
-  return amps;
+  const double norm = std::sqrt(kernels::norm_squared(v));
+  kernels::scale(v, Amplitude{1.0 / norm, 0.0});
+  return v;
+}
+
+/// |x> in a state of `size` amplitudes.
+SoaVector basis(std::size_t size, std::size_t x) {
+  SoaVector v(size);
+  v.set(x, Amplitude{1.0, 0.0});
+  return v;
+}
+
+/// max_i |a_i - b_i|.
+double linf(const SoaVector& a, const SoaVector& b) {
+  EXPECT_EQ(a.size(), b.size());
+  double d = 0.0;
+  for (std::size_t i = 0; i < std::min(a.size(), b.size()); ++i) {
+    d = std::max(d, std::abs(a.get(i) - b.get(i)));
+  }
+  return d;
 }
 
 TEST(Kernels, Gate1OnBasisStates) {
   // X on qubit 1 of |00> gives |10> (index 2).
-  std::vector<Amplitude> amps(4, Amplitude{0.0, 0.0});
-  amps[0] = 1.0;
-  kernels::apply_gate1(amps, 2, 1, gates::X());
-  EXPECT_NEAR(std::abs(amps[2]), 1.0, 1e-12);
-  EXPECT_NEAR(std::abs(amps[0]), 0.0, 1e-12);
+  SoaVector v = basis(4, 0);
+  kernels::apply_gate1(v, 2, 1, gates::X());
+  EXPECT_NEAR(std::abs(v.get(2)), 1.0, 1e-12);
+  EXPECT_NEAR(std::abs(v.get(0)), 0.0, 1e-12);
 }
 
 TEST(Kernels, Gate1PreservesNorm) {
   Rng rng(3);
   for (unsigned n = 1; n <= 6; ++n) {
-    auto amps = random_state(n, rng);
+    SoaVector v = random_state(n, rng);
     for (unsigned q = 0; q < n; ++q) {
-      kernels::apply_gate1(amps, n, q, gates::Ry(0.37 * (q + 1)));
+      kernels::apply_gate1(v, n, q, gates::Ry(0.37 * (q + 1)));
     }
-    EXPECT_NEAR(kernels::norm_squared(amps), 1.0, 1e-10);
+    EXPECT_NEAR(kernels::norm_squared(v), 1.0, 1e-10);
   }
 }
 
 TEST(Kernels, Gate1CommutesOnDistinctQubits) {
   Rng rng(5);
-  auto a = random_state(4, rng);
-  auto b = a;
+  SoaVector a = random_state(4, rng);
+  SoaVector b = a;
   kernels::apply_gate1(a, 4, 0, gates::H());
   kernels::apply_gate1(a, 4, 3, gates::T());
   kernels::apply_gate1(b, 4, 3, gates::T());
   kernels::apply_gate1(b, 4, 0, gates::H());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    EXPECT_LT(std::abs(a[i] - b[i]), 1e-12);
-  }
+  EXPECT_LT(linf(a, b), 1e-12);
 }
 
 TEST(Kernels, Gate1RejectsBadArguments) {
-  std::vector<Amplitude> amps(4);
-  EXPECT_THROW(kernels::apply_gate1(amps, 2, 2, gates::X()), CheckFailure);
-  EXPECT_THROW(kernels::apply_gate1(amps, 3, 0, gates::X()), CheckFailure);
+  SoaVector v(4);
+  EXPECT_THROW(kernels::apply_gate1(v, 2, 2, gates::X()), CheckFailure);
+  EXPECT_THROW(kernels::apply_gate1(v, 3, 0, gates::X()), CheckFailure);
 }
 
 TEST(Kernels, ControlledGateActsOnlyWhenControlsSet) {
   // CNOT with control qubit 0, target qubit 1.
-  std::vector<Amplitude> amps(4, Amplitude{0.0, 0.0});
-  amps[1] = 1.0;  // |01>: control (bit 0) is 1
-  kernels::apply_controlled_gate1(amps, 2, 0b01, 1, gates::X());
-  EXPECT_NEAR(std::abs(amps[3]), 1.0, 1e-12);  // -> |11>
+  SoaVector v = basis(4, 1);  // |01>: control (bit 0) is 1
+  kernels::apply_controlled_gate1(v, 2, 0b01, 1, gates::X());
+  EXPECT_NEAR(std::abs(v.get(3)), 1.0, 1e-12);  // -> |11>
 
-  std::fill(amps.begin(), amps.end(), Amplitude{0.0, 0.0});
-  amps[0] = 1.0;  // |00>: control clear -> no-op
-  kernels::apply_controlled_gate1(amps, 2, 0b01, 1, gates::X());
-  EXPECT_NEAR(std::abs(amps[0]), 1.0, 1e-12);
+  v = basis(4, 0);  // |00>: control clear -> no-op
+  kernels::apply_controlled_gate1(v, 2, 0b01, 1, gates::X());
+  EXPECT_NEAR(std::abs(v.get(0)), 1.0, 1e-12);
 }
 
 TEST(Kernels, ControlledGateRejectsSelfControl) {
-  std::vector<Amplitude> amps(4);
-  EXPECT_THROW(kernels::apply_controlled_gate1(amps, 2, 0b10, 1, gates::X()),
+  SoaVector v(4);
+  EXPECT_THROW(kernels::apply_controlled_gate1(v, 2, 0b10, 1, gates::X()),
                CheckFailure);
 }
 
 TEST(Kernels, MultiControlledGate) {
   // Toffoli: controls 0 and 1, target 2.
-  std::vector<Amplitude> amps(8, Amplitude{0.0, 0.0});
-  amps[3] = 1.0;  // |011>
-  kernels::apply_controlled_gate1(amps, 3, 0b011, 2, gates::X());
-  EXPECT_NEAR(std::abs(amps[7]), 1.0, 1e-12);  // -> |111>
+  SoaVector v = basis(8, 3);  // |011>
+  kernels::apply_controlled_gate1(v, 3, 0b011, 2, gates::X());
+  EXPECT_NEAR(std::abs(v.get(7)), 1.0, 1e-12);  // -> |111>
 }
 
 TEST(Kernels, PhaseFlipIndexIsInvolutive) {
   Rng rng(7);
-  auto amps = random_state(4, rng);
-  const auto before = amps;
-  kernels::phase_flip_index(amps, 5);
-  EXPECT_LT(std::abs(amps[5] + before[5]), 1e-15);
-  kernels::phase_flip_index(amps, 5);
-  for (std::size_t i = 0; i < amps.size(); ++i) {
-    EXPECT_LT(std::abs(amps[i] - before[i]), 1e-15);
-  }
+  SoaVector v = random_state(4, rng);
+  const SoaVector before = v;
+  const std::vector<Index> target{5};
+  kernels::phase_flip_indices(v, target);
+  EXPECT_LT(std::abs(v.get(5) + before.get(5)), 1e-15);
+  kernels::phase_flip_indices(v, target);
+  EXPECT_LT(linf(v, before), 1e-15);
 }
 
 TEST(Kernels, PhaseFlipMaskMatchesAllOnesOnly) {
   Rng rng(13);
-  auto amps = random_state(3, rng);
-  const auto before = amps;
-  kernels::phase_flip_mask_all_ones(amps, 0b101);
-  for (std::size_t i = 0; i < amps.size(); ++i) {
+  SoaVector v = random_state(3, rng);
+  const SoaVector before = v;
+  kernels::phase_flip_mask_all_ones(v, 0b101);
+  for (std::size_t i = 0; i < v.size(); ++i) {
     const bool flipped = (i & 0b101u) == 0b101u;
-    EXPECT_LT(std::abs(amps[i] - (flipped ? -before[i] : before[i])), 1e-15);
+    const Amplitude want = flipped ? -before.get(i) : before.get(i);
+    EXPECT_LT(std::abs(v.get(i) - want), 1e-15);
   }
 }
 
 TEST(Kernels, ReflectAboutUniformFixesUniform) {
   const double amp = 1.0 / std::sqrt(8.0);
-  std::vector<Amplitude> amps(8, Amplitude{amp, 0.0});
-  kernels::reflect_about_uniform(amps);
-  for (const auto& a : amps) {
-    EXPECT_LT(std::abs(a - Amplitude{amp, 0.0}), 1e-14);
+  SoaVector v(8);
+  v.fill(Amplitude{amp, 0.0});
+  kernels::reflect_about_uniform(v);
+  for (std::size_t i = 0; i < v.size(); ++i) {
+    EXPECT_LT(std::abs(v.get(i) - Amplitude{amp, 0.0}), 1e-14);
   }
 }
 
 TEST(Kernels, ReflectAboutUniformNegatesOrthogonalComponent) {
   // A vector orthogonal to uniform (sum zero) should be fully negated.
-  std::vector<Amplitude> amps{{1.0, 0.0}, {-1.0, 0.0}, {0.5, 0.0}, {-0.5, 0.0}};
-  const auto before = amps;
-  kernels::reflect_about_uniform(amps);
-  for (std::size_t i = 0; i < amps.size(); ++i) {
-    EXPECT_LT(std::abs(amps[i] + before[i]), 1e-14);
+  SoaVector v = SoaVector::from_amplitudes(
+      Amps{{1.0, 0.0}, {-1.0, 0.0}, {0.5, 0.0}, {-0.5, 0.0}});
+  const SoaVector before = v;
+  kernels::reflect_about_uniform(v);
+  for (std::size_t i = 0; i < v.size(); ++i) {
+    EXPECT_LT(std::abs(v.get(i) + before.get(i)), 1e-14);
   }
 }
 
 TEST(Kernels, ReflectAboutUniformIsInvolutive) {
   Rng rng(17);
-  auto amps = random_state(5, rng);
-  const auto before = amps;
-  kernels::reflect_about_uniform(amps);
-  kernels::reflect_about_uniform(amps);
-  for (std::size_t i = 0; i < amps.size(); ++i) {
-    EXPECT_LT(std::abs(amps[i] - before[i]), 1e-12);
-  }
+  SoaVector v = random_state(5, rng);
+  const SoaVector before = v;
+  kernels::reflect_about_uniform(v);
+  kernels::reflect_about_uniform(v);
+  EXPECT_LT(linf(v, before), 1e-12);
 }
 
 TEST(Kernels, BlockReflectEqualsGlobalWhenOneBlock) {
   Rng rng(19);
-  auto a = random_state(4, rng);
-  auto b = a;
+  SoaVector a = random_state(4, rng);
+  SoaVector b = a;
   kernels::reflect_about_uniform(a);
   kernels::reflect_blocks_about_uniform(b, b.size());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    EXPECT_LT(std::abs(a[i] - b[i]), 1e-13);
-  }
+  EXPECT_LT(linf(a, b), 1e-13);
 }
 
 TEST(Kernels, BlockReflectActsIndependentlyPerBlock) {
   Rng rng(23);
-  auto amps = random_state(4, rng);  // 16 amplitudes, 4 blocks of 4
-  auto expected = amps;
-  kernels::reflect_blocks_about_uniform(amps, 4);
+  SoaVector v = random_state(4, rng);  // 16 amplitudes, 4 blocks of 4
+  const Amps before = v.to_amplitudes();
+  kernels::reflect_blocks_about_uniform(v, 4);
   for (std::size_t b = 0; b < 4; ++b) {
-    std::vector<Amplitude> block(expected.begin() + static_cast<long>(4 * b),
-                                 expected.begin() + static_cast<long>(4 * b + 4));
+    SoaVector block = SoaVector::from_amplitudes(
+        std::span<const Amplitude>(before).subspan(4 * b, 4));
     kernels::reflect_about_uniform(block);
     for (std::size_t i = 0; i < 4; ++i) {
-      EXPECT_LT(std::abs(amps[4 * b + i] - block[i]), 1e-13);
+      EXPECT_LT(std::abs(v.get(4 * b + i) - block.get(i)), 1e-13);
     }
   }
 }
 
 TEST(Kernels, BlockReflectRejectsNonDivisor) {
-  std::vector<Amplitude> amps(8);
-  EXPECT_THROW(kernels::reflect_blocks_about_uniform(amps, 3), CheckFailure);
+  SoaVector v(8);
+  EXPECT_THROW(kernels::reflect_blocks_about_uniform(v, 3), CheckFailure);
 }
 
 TEST(Kernels, RotateBlocksAtPiEqualsMinusReflection) {
   Rng rng(29);
-  auto a = random_state(4, rng);
-  auto b = a;
+  SoaVector a = random_state(4, rng);
+  SoaVector b = a;
   kernels::reflect_blocks_about_uniform(a, 4);
   kernels::rotate_blocks_about_uniform(b, 4, kPi);
   // rotate(pi) = I - 2|u><u| = -(2|u><u| - I).
   for (std::size_t i = 0; i < a.size(); ++i) {
-    EXPECT_LT(std::abs(a[i] + b[i]), 1e-12);
+    EXPECT_LT(std::abs(a.get(i) + b.get(i)), 1e-12);
   }
 }
 
 TEST(Kernels, RotateBlocksAtZeroIsIdentity) {
   Rng rng(31);
-  auto amps = random_state(3, rng);
-  const auto before = amps;
-  kernels::rotate_blocks_about_uniform(amps, 4, 0.0);
-  for (std::size_t i = 0; i < amps.size(); ++i) {
-    EXPECT_LT(std::abs(amps[i] - before[i]), 1e-14);
-  }
+  SoaVector v = random_state(3, rng);
+  const SoaVector before = v;
+  kernels::rotate_blocks_about_uniform(v, 4, 0.0);
+  EXPECT_LT(linf(v, before), 1e-14);
 }
 
 TEST(Kernels, RotateBlocksPreservesNorm) {
   Rng rng(37);
-  auto amps = random_state(5, rng);
-  kernels::rotate_blocks_about_uniform(amps, 8, 1.234);
-  EXPECT_NEAR(kernels::norm_squared(amps), 1.0, 1e-12);
+  SoaVector v = random_state(5, rng);
+  kernels::rotate_blocks_about_uniform(v, 8, 1.234);
+  EXPECT_NEAR(kernels::norm_squared(v), 1.0, 1e-12);
 }
 
 TEST(Kernels, NonTargetMeanReflectLeavesTargetUntouched) {
   Rng rng(43);
-  auto amps = random_state(4, rng);
-  const Amplitude target_before = amps[9];
-  kernels::reflect_non_target_about_their_mean(amps, 9);
-  EXPECT_LT(std::abs(amps[9] - target_before), 1e-15);
+  SoaVector v = random_state(4, rng);
+  const Amplitude target_before = v.get(9);
+  const std::vector<Index> target{9};
+  kernels::reflect_unmarked_about_their_mean(v, target);
+  EXPECT_LT(std::abs(v.get(9) - target_before), 1e-15);
 }
 
 TEST(Kernels, NonTargetMeanReflectPreservesNorm) {
   Rng rng(47);
-  auto amps = random_state(5, rng);
-  kernels::reflect_non_target_about_their_mean(amps, 0);
-  EXPECT_NEAR(kernels::norm_squared(amps), 1.0, 1e-12);
+  SoaVector v = random_state(5, rng);
+  const std::vector<Index> target{0};
+  kernels::reflect_unmarked_about_their_mean(v, target);
+  EXPECT_NEAR(kernels::norm_squared(v), 1.0, 1e-12);
 }
 
 TEST(Kernels, NonTargetMeanReflectZeroesEqualAmplitudes) {
-  // If all non-target amplitudes equal 2 mu - a = a, they are fixed; but if
-  // they are all equal the reflection maps each a to 2a - a = a. The key
-  // partial-search property: when the non-target mean is exactly half of a
-  // uniform non-target amplitude... construct the Step-2 pattern directly:
-  // non-target-block states with amplitude c, target-block rest with
-  // amplitude b chosen so the overall mean is c/2 -> all become ... instead,
-  // verify the defining identity a' = 2*mean - a on the non-target set.
-  std::vector<Amplitude> amps{{0.9, 0.0}, {0.1, 0.0}, {0.3, 0.0}, {-0.1, 0.0}};
-  const Index t = 0;
+  // The defining identity of the Step-3 reflection with a single target:
+  // a' = 2*mean - a on the non-target set, the target untouched.
+  const Amps amps{{0.9, 0.0}, {0.1, 0.0}, {0.3, 0.0}, {-0.1, 0.0}};
   const Amplitude mean = (amps[1] + amps[2] + amps[3]) / 3.0;
-  auto expected = amps;
+  Amps expected = amps;
   for (std::size_t i = 1; i < 4; ++i) {
     expected[i] = 2.0 * mean - amps[i];
   }
-  kernels::reflect_non_target_about_their_mean(amps, t);
+  SoaVector v = SoaVector::from_amplitudes(amps);
+  const std::vector<Index> target{0};
+  kernels::reflect_unmarked_about_their_mean(v, target);
   for (std::size_t i = 0; i < 4; ++i) {
-    EXPECT_LT(std::abs(amps[i] - expected[i]), 1e-14);
+    EXPECT_LT(std::abs(v.get(i) - expected[i]), 1e-14);
   }
 }
 
 TEST(Kernels, InnerProductOrthonormalBasis) {
-  std::vector<Amplitude> e0{{1.0, 0.0}, {0.0, 0.0}};
-  std::vector<Amplitude> e1{{0.0, 0.0}, {1.0, 0.0}};
+  const SoaVector e0 = basis(2, 0);
+  const SoaVector e1 = basis(2, 1);
   EXPECT_LT(std::abs(kernels::inner_product(e0, e1)), 1e-15);
   EXPECT_LT(std::abs(kernels::inner_product(e0, e0) - Amplitude{1.0, 0.0}),
             1e-15);
 }
 
 TEST(Kernels, InnerProductConjugatesFirstArgument) {
-  std::vector<Amplitude> a{{0.0, 1.0}};  // i
-  std::vector<Amplitude> b{{1.0, 0.0}};  // 1
+  const SoaVector a = SoaVector::from_amplitudes(Amps{{0.0, 1.0}});  // i
+  const SoaVector b = SoaVector::from_amplitudes(Amps{{1.0, 0.0}});  // 1
   // <a|b> = conj(i) * 1 = -i.
   EXPECT_LT(std::abs(kernels::inner_product(a, b) - Amplitude{0.0, -1.0}),
             1e-15);
 }
 
 TEST(Kernels, ScaleMultipliesEverything) {
-  std::vector<Amplitude> amps{{1.0, 0.0}, {2.0, 0.0}};
-  kernels::scale(amps, Amplitude{0.0, 1.0});
-  EXPECT_LT(std::abs(amps[0] - Amplitude{0.0, 1.0}), 1e-15);
-  EXPECT_LT(std::abs(amps[1] - Amplitude{0.0, 2.0}), 1e-15);
+  SoaVector v = SoaVector::from_amplitudes(Amps{{1.0, 0.0}, {2.0, 0.0}});
+  kernels::scale(v, Amplitude{0.0, 1.0});
+  EXPECT_LT(std::abs(v.get(0) - Amplitude{0.0, 1.0}), 1e-15);
+  EXPECT_LT(std::abs(v.get(1) - Amplitude{0.0, 2.0}), 1e-15);
 }
 
-// ---- ISA-parametrized SoA/span equivalence sweep ---------------------------
+// ---- The plain-loop reference ----------------------------------------------
 //
-// Every SoA kernel must agree with its span reference implementation to
-// 1e-10 on every tier compiled into this binary AND supported by this CPU
-// (qsim/isa.h). The sweep runs on random non-uniform states, non-power-of-
-// two sizes (SIMD tail paths), and n = 1 (N = 2, smaller than one vector
-// register). CI pins PQS_ISA=scalar and PQS_ISA=avx2 jobs so the narrower
-// tiers stay covered even when the runner has wider hardware.
+// Each kernel written once more as the textbook sequential loop over
+// interleaved amplitudes: no OpenMP, no chunking, no block-sum cache, no
+// ISA dispatch and no argument checks. It shares no code with
+// kernels_soa.cpp, so a bug in the chunking or cache logic common to every
+// tier still shows up against it.
+namespace naive {
+
+/// Within each block of `bs`: a <- 2 mean - a (bs = size() is I0).
+void reflect_blocks(Amps& a, std::size_t bs) {
+  for (std::size_t lo = 0; lo < a.size(); lo += bs) {
+    Amplitude sum{0.0, 0.0};
+    for (std::size_t i = lo; i < lo + bs; ++i) {
+      sum += a[i];
+    }
+    const Amplitude twice_mean = 2.0 * sum / static_cast<double>(bs);
+    for (std::size_t i = lo; i < lo + bs; ++i) {
+      a[i] = twice_mean - a[i];
+    }
+  }
+}
+
+/// Within each block of `bs`: a <- a + (e^{i phi} - 1) mean.
+void rotate_blocks(Amps& a, std::size_t bs, double phi) {
+  for (std::size_t lo = 0; lo < a.size(); lo += bs) {
+    Amplitude sum{0.0, 0.0};
+    for (std::size_t i = lo; i < lo + bs; ++i) {
+      sum += a[i];
+    }
+    const Amplitude add =
+        (std::polar(1.0, phi) - 1.0) * sum / static_cast<double>(bs);
+    for (std::size_t i = lo; i < lo + bs; ++i) {
+      a[i] += add;
+    }
+  }
+}
+
+/// g on qubit q wherever every bit of `controls` is set (0: always).
+void controlled_gate1(Amps& a, std::uint64_t controls, unsigned q,
+                      const Gate2& g) {
+  const std::uint64_t bit = std::uint64_t{1} << q;
+  for (std::uint64_t i0 = 0; i0 < a.size(); ++i0) {
+    if ((i0 & bit) != 0 || (i0 & controls) != controls) {
+      continue;
+    }
+    const Amplitude a0 = a[i0];
+    const Amplitude a1 = a[i0 | bit];
+    a[i0] = g.m[0][0] * a0 + g.m[0][1] * a1;
+    a[i0 | bit] = g.m[1][0] * a0 + g.m[1][1] * a1;
+  }
+}
+
+void gate1(Amps& a, unsigned q, const Gate2& g) {
+  controlled_gate1(a, 0, q, g);
+}
+
+/// Every marked amplitude keeps its value; the rest are inverted about
+/// their own mean.
+void reflect_unmarked(Amps& a, const std::vector<Index>& marked) {
+  std::vector<bool> is_marked(a.size(), false);
+  for (const Index m : marked) {
+    is_marked[m] = true;
+  }
+  Amplitude sum{0.0, 0.0};
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    if (!is_marked[i]) {
+      sum += a[i];
+    }
+  }
+  const Amplitude twice_mean =
+      2.0 * sum / static_cast<double>(a.size() - marked.size());
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    if (!is_marked[i]) {
+      a[i] = twice_mean - a[i];
+    }
+  }
+}
+
+/// a_m <- factor * a_m for every listed m.
+void multiply_at(Amps& a, const std::vector<Index>& indices,
+                 Amplitude factor) {
+  for (const Index m : indices) {
+    a[m] *= factor;
+  }
+}
+
+/// -a_x wherever x has every bit of `mask` set.
+void flip_mask(Amps& a, std::uint64_t mask) {
+  for (std::uint64_t x = 0; x < a.size(); ++x) {
+    if ((x & mask) == mask) {
+      a[x] = -a[x];
+    }
+  }
+}
+
+void scale(Amps& a, Amplitude s) {
+  for (Amplitude& x : a) {
+    x *= s;
+  }
+}
+
+Amplitude sum(const Amps& a) {
+  Amplitude s{0.0, 0.0};
+  for (const Amplitude& x : a) {
+    s += x;
+  }
+  return s;
+}
+
+double norm(const Amps& a, std::size_t lo, std::size_t len) {
+  double s = 0.0;
+  for (std::size_t i = lo; i < lo + len; ++i) {
+    s += std::norm(a[i]);
+  }
+  return s;
+}
+
+/// <a|b>.
+Amplitude inner(const Amps& a, const Amps& b) {
+  Amplitude s{0.0, 0.0};
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    s += std::conj(a[i]) * b[i];
+  }
+  return s;
+}
+
+}  // namespace naive
+
+// ---- ISA-parametrized sweep against the plain loops ------------------------
+//
+// Every SoA kernel must agree with the plain-loop reference above to 1e-10
+// on every tier compiled into this binary AND supported by this CPU
+// (qsim/isa.h), the scalar tier included. The sweep runs on random non-
+// uniform states, non-power-of-two sizes (SIMD tail paths), and n = 1
+// (N = 2, smaller than one vector register). CI pins PQS_ISA=scalar and
+// PQS_ISA=avx2 jobs so the narrower tiers stay covered even when the runner
+// has wider hardware.
 
 constexpr double kTierTol = 1e-10;
 
-std::vector<Amplitude> random_amps(std::size_t size, Rng& rng) {
-  std::vector<Amplitude> amps(size);
+Amps random_amps(std::size_t size, Rng& rng) {
+  Amps amps(size);
   for (auto& a : amps) {
     a = Amplitude{rng.normal(), rng.normal()};
   }
   return amps;
 }
 
-void expect_matches(const SoaVector& v, const std::vector<Amplitude>& ref,
+void expect_matches(const SoaVector& v, const Amps& ref,
                     double tol = kTierTol) {
   ASSERT_EQ(v.size(), ref.size());
   for (std::size_t i = 0; i < ref.size(); ++i) {
@@ -309,7 +448,7 @@ TEST_P(IsaSweep, ReflectAboutUniformMatchesReferenceOnOddSizes) {
                                  std::size_t{4100}, std::size_t{8192}}) {
     auto ref = random_amps(size, rng);
     SoaVector v = SoaVector::from_amplitudes(ref);
-    kernels::reflect_about_uniform(std::span<Amplitude>(ref));
+    naive::reflect_blocks(ref, size);
     kernels::reflect_about_uniform(v);
     expect_matches(v, ref);
   }
@@ -322,7 +461,7 @@ TEST_P(IsaSweep, BlockReflectMatchesReference) {
                                std::size_t{1000}, std::size_t{6000}}) {
     auto ref = random_amps(size, rng);
     SoaVector v = SoaVector::from_amplitudes(ref);
-    kernels::reflect_blocks_about_uniform(std::span<Amplitude>(ref), bs);
+    naive::reflect_blocks(ref, bs);
     kernels::reflect_blocks_about_uniform(v, bs);
     expect_matches(v, ref);
   }
@@ -332,7 +471,7 @@ TEST_P(IsaSweep, RotateBlocksMatchesReference) {
   Rng rng(107);
   auto ref = random_amps(6000, rng);
   SoaVector v = SoaVector::from_amplitudes(ref);
-  kernels::rotate_blocks_about_uniform(std::span<Amplitude>(ref), 1000, 0.77);
+  naive::rotate_blocks(ref, 1000, 0.77);
   kernels::rotate_blocks_about_uniform(v, 1000, 0.77);
   expect_matches(v, ref);
 }
@@ -344,7 +483,7 @@ TEST_P(IsaSweep, Gate1MatchesReferenceAcrossStrides) {
     SoaVector v = SoaVector::from_amplitudes(ref);
     for (unsigned q = 0; q < n; ++q) {  // strides 1, 2, 4, ...
       const Gate2 g = gates::Ry(0.41 * (q + 1));
-      kernels::apply_gate1(std::span<Amplitude>(ref), n, q, g);
+      naive::gate1(ref, q, g);
       kernels::apply_gate1(v, n, q, g);
     }
     expect_matches(v, ref);
@@ -356,8 +495,7 @@ TEST_P(IsaSweep, ControlledGate1MatchesReference) {
   auto ref = random_amps(16, rng);
   SoaVector v = SoaVector::from_amplitudes(ref);
   for (const std::uint64_t mask : {0b0001ULL, 0b1010ULL}) {
-    kernels::apply_controlled_gate1(std::span<Amplitude>(ref), 4, mask, 2,
-                                    gates::H());
+    naive::controlled_gate1(ref, mask, 2, gates::H());
     kernels::apply_controlled_gate1(v, 4, mask, 2, gates::H());
   }
   expect_matches(v, ref);
@@ -368,13 +506,13 @@ TEST_P(IsaSweep, PhaseKernelsMatchReference) {
   auto ref = random_amps(32, rng);
   SoaVector v = SoaVector::from_amplitudes(ref);
   const std::vector<Index> marked{3, 17, 31};
-  kernels::phase_flip_indices(std::span<Amplitude>(ref), marked);
+  naive::multiply_at(ref, marked, -1.0);
   kernels::phase_flip_indices(v, marked);
-  kernels::phase_rotate_indices(std::span<Amplitude>(ref), marked, 1.1);
+  naive::multiply_at(ref, marked, std::polar(1.0, 1.1));
   kernels::phase_rotate_indices(v, marked, 1.1);
-  kernels::phase_flip_mask_all_ones(std::span<Amplitude>(ref), 0b10100);
+  naive::flip_mask(ref, 0b10100);
   kernels::phase_flip_mask_all_ones(v, 0b10100);
-  kernels::scale(std::span<Amplitude>(ref), Amplitude{0.6, -0.8});
+  naive::scale(ref, Amplitude{0.6, -0.8});
   kernels::scale(v, Amplitude{0.6, -0.8});
   expect_matches(v, ref);
 }
@@ -383,27 +521,27 @@ TEST_P(IsaSweep, FusedSumCacheSurvivesOracleInterleaving) {
   // The Grover inner loop: oracle phase flips (incremental O(1) cache
   // deltas) interleaved with block reflections (cache read + refresh).
   // Any cache-maintenance bug compounds over iterations, so compare
-  // against the span reference after every step for many iterations.
+  // against the plain loops after every step for many iterations.
   Rng rng(131);
   const std::size_t size = 2048;
   auto ref = random_amps(size, rng);
   SoaVector v = SoaVector::from_amplitudes(ref);
   const std::vector<Index> marked{5, 700, 1500};
   for (int iter = 0; iter < 50; ++iter) {
-    kernels::phase_flip_indices(std::span<Amplitude>(ref), marked);
+    naive::multiply_at(ref, marked, -1.0);
     kernels::phase_flip_indices(v, marked);
-    kernels::reflect_blocks_about_uniform(std::span<Amplitude>(ref), 256);
+    naive::reflect_blocks(ref, 256);
     kernels::reflect_blocks_about_uniform(v, 256);
     ASSERT_NO_FATAL_FAILURE(expect_matches(v, ref)) << "iteration " << iter;
   }
   // Switch partitions mid-run (cache must not leak across block sizes),
   // then hammer the generalized-phase pair.
   for (int iter = 0; iter < 20; ++iter) {
-    kernels::phase_rotate_indices(std::span<Amplitude>(ref), marked, 0.3);
+    naive::multiply_at(ref, marked, std::polar(1.0, 0.3));
     kernels::phase_rotate_indices(v, marked, 0.3);
-    kernels::reflect_about_uniform(std::span<Amplitude>(ref));
+    naive::reflect_blocks(ref, size);
     kernels::reflect_about_uniform(v);
-    kernels::rotate_blocks_about_uniform(std::span<Amplitude>(ref), 512, 2.2);
+    naive::rotate_blocks(ref, 512, 2.2);
     kernels::rotate_blocks_about_uniform(v, 512, 2.2);
     ASSERT_NO_FATAL_FAILURE(expect_matches(v, ref)) << "iteration " << iter;
   }
@@ -413,13 +551,16 @@ TEST_P(IsaSweep, MeanReflectionsMatchReference) {
   Rng rng(137);
   auto ref = random_amps(1000, rng);
   SoaVector v = SoaVector::from_amplitudes(ref);
-  kernels::reflect_non_target_about_their_mean(std::span<Amplitude>(ref), 123);
-  kernels::reflect_non_target_about_their_mean(v, 123);
-  expect_matches(v, ref);
-  const std::vector<Index> marked{0, 11, 999};
-  kernels::reflect_unmarked_about_their_mean(std::span<Amplitude>(ref), marked);
-  kernels::reflect_unmarked_about_their_mean(v, marked);
-  expect_matches(v, ref);
+  // As in partial search, Step 3 follows block reflections, so its global
+  // sum comes from the block-sum cache.
+  naive::reflect_blocks(ref, 100);
+  kernels::reflect_blocks_about_uniform(v, 100);
+  for (const std::vector<Index>& marked :
+       {std::vector<Index>{123}, std::vector<Index>{0, 11, 999}}) {
+    naive::reflect_unmarked(ref, marked);
+    kernels::reflect_unmarked_about_their_mean(v, marked);
+    expect_matches(v, ref);
+  }
 }
 
 TEST_P(IsaSweep, ReductionsMatchReference) {
@@ -430,18 +571,15 @@ TEST_P(IsaSweep, ReductionsMatchReference) {
     auto ref_b = random_amps(size, rng);
     SoaVector v = SoaVector::from_amplitudes(ref);
     SoaVector vb = SoaVector::from_amplitudes(ref_b);
-    EXPECT_NEAR(kernels::norm_squared(v), kernels::norm_squared(ref),
+    EXPECT_NEAR(kernels::norm_squared(v), naive::norm(ref, 0, size),
                 kTierTol);
-    EXPECT_LT(std::abs(kernels::sum_all(v) - kernels::sum_pairwise(ref)),
-              kTierTol);
+    EXPECT_LT(std::abs(kernels::sum_all(v) - naive::sum(ref)), kTierTol);
     EXPECT_LT(std::abs(kernels::inner_product(v, vb) -
-                       kernels::inner_product(ref, ref_b)),
+                       naive::inner(ref, ref_b)),
               kTierTol);
     if (size > 2) {
       EXPECT_NEAR(kernels::norm_squared_range(v, 1, size - 2),
-                  kernels::norm_squared(std::span<const Amplitude>(ref).subspan(
-                      1, size - 2)),
-                  kTierTol);
+                  naive::norm(ref, 1, size - 2), kTierTol);
     }
   }
 }

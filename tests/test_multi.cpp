@@ -9,7 +9,9 @@
 #include "common/math.h"
 #include "partial/optimizer.h"
 #include "qsim/backend.h"
+#include "qsim/gates.h"
 #include "qsim/kernels.h"
+#include "qsim/soa.h"
 
 namespace pqs::partial {
 namespace {
@@ -145,10 +147,11 @@ TEST(MultiSearch, ExplicitCountsHonored) {
 
 TEST(MultiKernel, UnmarkedMeanReflectionProperties) {
   // Marked amplitudes survive; unmarked follow a' = 2 mean - a; norm kept.
-  std::vector<qsim::Amplitude> amps{{0.5, 0.0}, {0.1, 0.0}, {-0.3, 0.0},
-                                    {0.2, 0.0}, {0.4, 0.0}, {0.1, 0.0},
-                                    {0.6, 0.0}, {0.2, 0.0}};
-  const double norm_before = qsim::kernels::norm_squared(amps);
+  const std::vector<qsim::Amplitude> amps{{0.5, 0.0}, {0.1, 0.0}, {-0.3, 0.0},
+                                          {0.2, 0.0}, {0.4, 0.0}, {0.1, 0.0},
+                                          {0.6, 0.0}, {0.2, 0.0}};
+  qsim::SoaVector v = qsim::SoaVector::from_amplitudes(amps);
+  const double norm_before = qsim::kernels::norm_squared(v);
   const std::vector<qsim::Index> marked{1, 6};
   const qsim::Amplitude mean =
       (amps[0] + amps[2] + amps[3] + amps[4] + amps[5] + amps[7]) / 6.0;
@@ -156,35 +159,51 @@ TEST(MultiKernel, UnmarkedMeanReflectionProperties) {
   for (const std::size_t i : {0u, 2u, 3u, 4u, 5u, 7u}) {
     expected[i] = 2.0 * mean - amps[i];
   }
-  qsim::kernels::reflect_unmarked_about_their_mean(amps, marked);
+  qsim::kernels::reflect_unmarked_about_their_mean(v, marked);
   for (std::size_t i = 0; i < amps.size(); ++i) {
-    ASSERT_LT(std::abs(amps[i] - expected[i]), 1e-14) << i;
+    ASSERT_LT(std::abs(v.get(i) - expected[i]), 1e-14) << i;
   }
-  EXPECT_NEAR(qsim::kernels::norm_squared(amps), norm_before, 1e-12);
+  EXPECT_NEAR(qsim::kernels::norm_squared(v), norm_before, 1e-12);
 }
 
 TEST(MultiKernel, MatchesSingleTargetSpecialCase) {
-  std::vector<qsim::Amplitude> a{{0.3, 0.1}, {0.2, 0.0}, {-0.4, 0.2},
-                                 {0.1, 0.0}};
-  auto b = a;
-  qsim::kernels::reflect_non_target_about_their_mean(a, 2);
-  const std::vector<qsim::Index> marked{2};
-  qsim::kernels::reflect_unmarked_about_their_mean(b, marked);
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    ASSERT_LT(std::abs(a[i] - b[i]), 1e-14);
+  // DenseBackend's Step 3 on a unique target is the reflection of every
+  // other amplitude about their mean, the target untouched.
+  const qsim::Index target = 5;
+  auto backend = qsim::make_backend(
+      qsim::BackendKind::kDense,
+      qsim::BackendSpec::single_target(16, 4, target));
+  backend->apply_gate1(0, qsim::gates::Ry(0.3));  // a non-uniform,
+  backend->apply_gate1(2, qsim::gates::T());      // complex state
+  backend->apply_oracle();
+  backend->apply_block_diffusion();
+  const std::vector<qsim::Amplitude> before = backend->amplitudes_copy();
+  qsim::Amplitude sum{0.0, 0.0};
+  for (std::size_t i = 0; i < before.size(); ++i) {
+    if (i != target) {
+      sum += before[i];
+    }
+  }
+  const qsim::Amplitude twice_mean =
+      2.0 * sum / static_cast<double>(before.size() - 1);
+  backend->apply_step3();
+  const std::vector<qsim::Amplitude> after = backend->amplitudes_copy();
+  for (std::size_t i = 0; i < after.size(); ++i) {
+    const qsim::Amplitude want =
+        i == target ? before[i] : twice_mean - before[i];
+    ASSERT_LT(std::abs(after[i] - want), 1e-14) << i;
   }
 }
 
 TEST(MultiKernel, ValidatesInput) {
-  std::vector<qsim::Amplitude> amps(4, {0.5, 0.0});
+  qsim::SoaVector v(4);
+  v.fill({0.5, 0.0});
   const std::vector<qsim::Index> unsorted{2, 1};
-  EXPECT_THROW(
-      qsim::kernels::reflect_unmarked_about_their_mean(amps, unsorted),
-      CheckFailure);
+  EXPECT_THROW(qsim::kernels::reflect_unmarked_about_their_mean(v, unsorted),
+               CheckFailure);
   const std::vector<qsim::Index> too_many{0, 1, 2};
-  EXPECT_THROW(
-      qsim::kernels::reflect_unmarked_about_their_mean(amps, too_many),
-      CheckFailure);
+  EXPECT_THROW(qsim::kernels::reflect_unmarked_about_their_mean(v, too_many),
+               CheckFailure);
 }
 
 }  // namespace

@@ -89,7 +89,6 @@ from pathlib import Path
 PLANE_ACCESS_ALLOWED = {
     "src/qsim/soa.h",
     "src/qsim/kernels.h",
-    "src/qsim/kernels.cpp",
     "src/qsim/kernels_ops.h",
     "src/qsim/kernels_scalar.cpp",
     "src/qsim/kernels_avx2.cpp",
@@ -111,7 +110,6 @@ BARE_MUTEX_ALLOWED = {
 
 OMP_PRAGMA_ALLOWED = {
     "src/qsim/kernels.h",
-    "src/qsim/kernels.cpp",
     "src/qsim/kernels_scalar.cpp",
     "src/qsim/kernels_soa.cpp",
     "src/qsim/gates2.cpp",
